@@ -22,7 +22,7 @@
  *                   contained to the failing run's slot
  *
  * Process-isolated execution (sim/supervisor.hh) adds three categories
- * that can only happen when a run lives in its own worker process:
+ * that can only happen when a run lives in a worker process:
  *   crashed           the worker process died (signal, nonzero exit,
  *                     protocol corruption) before delivering a result;
  *                     restarted up to CATCH_MAX_ATTEMPTS times

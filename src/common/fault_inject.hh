@@ -30,16 +30,19 @@
  *   trace-corrupt:tpcc;hang:milc  two persistent faults
  *   exception:%10@42            ~10% of runs throw (seed 42)
  *   crash-segv:%25@7            ~25% of isolated workers die by SIGSEGV
- *   crash-abort:mcf:x1          mcf's first worker process aborts; the
- *                               supervisor's restart succeeds
+ *   crash-abort:mcf:x1          mcf's first dispatch aborts its worker
+ *                               process; the supervisor's restart
+ *                               succeeds
  *
  * The five process-level kinds (crash-abort, crash-segv, oom,
  * exec-fail, heartbeat-stall) act only in process-isolated mode
- * (sim/supervisor.hh): the first four take effect inside or while
- * spawning the worker process, heartbeat-stall silences the worker's
- * heartbeat so the wall-clock watchdog fires. For ':xN' counting their
- * attempt number is the process attempt (restart index), so a bounded
- * clause crashes the first N spawns and lets the restart succeed.
+ * (sim/supervisor.hh): crash-abort, crash-segv and oom take effect
+ * inside the worker when it receives the run's request, exec-fail
+ * while spawning a fresh worker for the run, and heartbeat-stall
+ * silences the worker's heartbeat so the wall-clock watchdog fires. For
+ * ':xN' counting their attempt number is the process attempt (how many
+ * times the run has been dispatched to a worker), so a bounded clause
+ * crashes the first N dispatches and lets the restart succeed.
  *
  * Non-workload injection points use reserved names, e.g. the suite
  * JSON exporter asks for "json-export", the chunk store's disk reads

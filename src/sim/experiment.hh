@@ -14,8 +14,9 @@
  *                    runSuite() call into DIR (see writeSuiteJson)
  *   CATCH_JOURNAL=DIR  checkpoint finished runs to DIR/journal.jsonl
  *                    and resume them on restart (see sim/journal.hh)
- *   CATCH_ISOLATE=1  run each simulation in its own worker process
- *                    under the wall-clock supervisor (sim/supervisor.hh)
+ *   CATCH_ISOLATE=1  run simulations in worker processes (one per job,
+ *                    reused across runs) under the wall-clock
+ *                    supervisor (sim/supervisor.hh)
  *   CATCH_RESULT_STORE=DIR  content-hashed incremental result store:
  *                    unchanged (config, workload, length) cells are
  *                    served from DIR instead of re-executing
@@ -87,8 +88,9 @@ struct ExperimentEnv
  * restarted campaign re-executes only unfinished ones. When
  * env.resultStoreDir is set, cells whose content key is already stored
  * replay from the store and fresh successes persist back to it. When
- * env.isolate is set, runs execute in per-run worker processes under
- * the wall-clock supervisor instead of pool threads.
+ * env.isolate is set, runs execute in worker processes (one per job,
+ * reused across runs) under the wall-clock supervisor instead of pool
+ * threads.
  * When env.jsonDir is set, writes <jsonDir>/<config-name>.json with
  * per-run status and the campaign summary (a "-2", "-3", ... suffix
  * disambiguates repeated config names within one process).

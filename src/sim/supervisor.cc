@@ -1,9 +1,9 @@
 #include "sim/supervisor.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
-#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -54,41 +54,40 @@ class SigpipeGuard
     struct sigaction saved_ = {};
 };
 
-/** One live worker process and its stream-reassembly state. */
+/** Worker processes forked so far (workerSpawnCount()). */
+std::atomic<uint64_t> spawned{0};
+
+/**
+ * One live worker process and its stream-reassembly state. A worker is
+ * busy (cell set: a request is in flight) or draining (stdin closed, the
+ * supervisor waits for its exit); it is never idle across poll rounds.
+ */
 struct WorkerProc
 {
     pid_t pid = -1;
+    int inFd = -1;  ///< write end of the worker's stdin; -1 once closed
     int outFd = -1; ///< read end of the worker's stdout
-    size_t runIndex = 0;
-    unsigned processAttempt = 1;
+    std::optional<size_t> cell; ///< in-flight run index into names
+    unsigned processAttempt = 1; ///< dispatch count of the in-flight run
     double deadline = 0; ///< hostSeconds() past which the worker hangs
+    bool eof = false;    ///< stdout closed: ready to reap
     bool killedForTimeout = false;
-    bool gotResult = false;
     std::string protocolError; ///< non-empty: stream was corrupt
-    RunOutcome result;         ///< valid iff gotResult
     FrameDecoder decoder;
 };
 
 /**
- * fork/execs one worker and sends it its request. The worker inherits
- * the environment (fault plan, chunk-store knobs) and the supervisor's
- * stderr; its stdin/stdout carry the frame protocol. Returns a config
- * error only for supervisor-side infrastructure failures (pipe/fork);
- * a binary that cannot exec is reported by the child via exit 127 and
- * classified at EOF like every other death.
+ * fork/execs one worker running @p exec_path --worker. The worker
+ * inherits the environment (fault plan, chunk-store knobs) and the
+ * supervisor's stderr; its stdin/stdout carry the frame protocol, and
+ * its stdin stays open for requests until the supervisor closes it.
+ * Returns an exec-fail error only for supervisor-side infrastructure
+ * failures (pipe/fork); a binary that cannot exec is reported by the
+ * child via exit 127 and classified at EOF like every other death.
  */
 Expected<WorkerProc>
-spawnWorker(const std::string &bin, const SimConfig &cfg,
-            const std::string &name, uint64_t instrs, uint64_t warmup,
-            unsigned attempt, const IsolationOptions &opts,
-            const FaultPlan &plan)
+spawnWorker(const std::string &exec_path)
 {
-    std::string exec_path = bin;
-    // exec-fail injection happens supervisor-side: the child execs a
-    // path that cannot exist, producing the real exit-127 signature.
-    if (plan.shouldInject(FaultKind::ExecFail, name, attempt))
-        exec_path = "/nonexistent/catchsim-exec-fail-injection";
-
     int in_pipe[2];  // supervisor -> worker stdin
     int out_pipe[2]; // worker stdout -> supervisor
     if (pipe2(in_pipe, O_CLOEXEC) != 0)
@@ -114,7 +113,9 @@ spawnWorker(const std::string &bin, const SimConfig &cfg,
     }
     if (pid == 0) {
         // Child. dup2 clears O_CLOEXEC on the standard fds; every
-        // other pipe end closes itself across the exec.
+        // other pipe end — including other workers' stdin write ends,
+        // whose EOF must not be held open — closes itself across the
+        // exec.
         if (::dup2(in_pipe[0], STDIN_FILENO) < 0 ||
             ::dup2(out_pipe[1], STDOUT_FILENO) < 0)
             ::_exit(kExecFailExit);
@@ -125,27 +126,54 @@ spawnWorker(const std::string &bin, const SimConfig &cfg,
         ::_exit(kExecFailExit);
     }
 
+    spawned.fetch_add(1, std::memory_order_relaxed);
     ::close(in_pipe[0]);
     ::close(out_pipe[1]);
-
-    // The request is tiny (well under PIPE_BUF), so this cannot block
-    // indefinitely; if the child is already dead the write fails with
-    // EPIPE (ignored — classification happens at EOF).
-    (void)writeFrame(in_pipe[1],
-                     buildWorkerRequest(cfg, name, instrs, warmup,
-                                        attempt, opts));
-    ::close(in_pipe[1]);
     ::fcntl(out_pipe[0], F_SETFL, O_NONBLOCK);
 
     WorkerProc w;
     w.pid = pid;
+    w.inFd = in_pipe[1];
     w.outFd = out_pipe[0];
-    w.processAttempt = attempt;
-    w.deadline = hostSeconds() + opts.heartbeatTimeoutMs / 1000.0;
     return w;
 }
 
+/**
+ * Why @p w died with a run in flight, given its wait status. Priority:
+ * watchdog kill, protocol error, signal, exit 127, exit status.
+ */
+SimError
+deathCause(const WorkerProc &w, int wstatus, unsigned timeout_ms)
+{
+    if (w.killedForTimeout)
+        return simError(ErrorCategory::HeartbeatTimeout,
+                        "worker heartbeat silent for more than ",
+                        timeout_ms, " ms; killed");
+    if (!w.protocolError.empty())
+        return simError(ErrorCategory::Crashed,
+                        "worker protocol error: ", w.protocolError);
+    if (WIFSIGNALED(wstatus))
+        return simError(ErrorCategory::Crashed,
+                        "worker killed by signal ", WTERMSIG(wstatus));
+    int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    if (code == kExecFailExit)
+        return simError(ErrorCategory::ExecFail,
+                        "worker binary could not be executed (exit 127 "
+                        "without output)");
+    if (code == 0)
+        return simError(ErrorCategory::Crashed,
+                        "worker closed its pipe without a result");
+    return simError(ErrorCategory::Crashed, "worker exited with code ",
+                    code, " before sending a result");
+}
+
 } // namespace
+
+uint64_t
+workerSpawnCount()
+{
+    return spawned.load(std::memory_order_relaxed);
+}
 
 std::vector<RunOutcome>
 runWorkloadsSupervised(const SimConfig &cfg,
@@ -165,10 +193,15 @@ runWorkloadsSupervised(const SimConfig &cfg,
 
     // --- planning pre-pass, on the calling thread -------------------
     // Identical semantics to runWorkloadsIsolated: journal first, then
-    // the content-hashed store; only the remainder spawns workers.
+    // the content-hashed store; only the remainder goes to workers.
     uint64_t cfg_digest = opts.resultStore ? configDigest(cfg) : 0;
     std::vector<std::optional<RunKey>> keys(names.size());
-    std::vector<size_t> pending;
+    struct Pending
+    {
+        size_t idx;
+        unsigned attempt; ///< process attempt this dispatch will be
+    };
+    std::vector<Pending> pending;
     for (size_t i = 0; i < names.size(); ++i) {
         if (opts.journal) {
             RunStatus st = RunStatus::Ok;
@@ -198,14 +231,15 @@ runWorkloadsSupervised(const SimConfig &cfg,
                 }
             }
         }
-        pending.push_back(i);
+        pending.push_back({i, 1});
     }
     // LPT dispatch, like the thread-pool executor: longest-estimated
-    // runs spawn first. pop_back() takes work, so sort ascending.
+    // runs go first. pop_back() takes work, so sort ascending. Restarts
+    // are pushed back on top and so go out next.
     std::stable_sort(pending.begin(), pending.end(),
-                     [&names](size_t a, size_t b) {
-                         return workloadCostEstimate(names[a]) <
-                                workloadCostEstimate(names[b]);
+                     [&names](const Pending &a, const Pending &b) {
+                         return workloadCostEstimate(names[a.idx]) <
+                                workloadCostEstimate(names[b.idx]);
                      });
 
     auto commit = [&](size_t idx, RunOutcome &&out) {
@@ -223,45 +257,53 @@ runWorkloadsSupervised(const SimConfig &cfg,
             progress(outcomes[idx]);
     };
 
-    std::vector<WorkerProc> active;
+    // Live workers, busy or draining; never more than `slots`.
+    std::vector<WorkerProc> workers;
     const size_t slots = std::max(1u, jobs);
 
-    // Spawns names[idx] (attempt @p attempt), absorbing supervisor-side
-    // infrastructure failures into the same bounded-restart policy the
-    // EOF classifier applies.
-    auto launch = [&](size_t idx, unsigned attempt) {
-        for (;;) {
-            auto w = spawnWorker(bin, cfg, names[idx], instrs, warmup,
-                                 attempt, opts, plan);
-            if (w.ok()) {
-                w.value().runIndex = idx;
-                active.push_back(std::move(w).value());
-                return;
-            }
-            warn("worker spawn for '", names[idx], "' failed: ",
-                 w.error().message);
-            if (attempt < opts.maxAttempts) {
-                if (opts.backoffMs)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            uint64_t(opts.backoffMs) * attempt));
-                ++attempt;
-                continue;
-            }
-            RunOutcome out;
-            out.status = RunStatus::Crashed;
-            out.attempts = attempt;
-            out.failure = RunFailure{w.error(), attempt};
-            commit(idx, std::move(out));
-            return;
+    // Sends run @p p to @p w and arms the watchdog. A worker that died
+    // meanwhile makes the write fail (EPIPE); its EOF then classifies
+    // the run like any other death.
+    auto send = [&](WorkerProc &w, Pending p) {
+        w.cell = p.idx;
+        w.processAttempt = p.attempt;
+        w.deadline = hostSeconds() + timeout_sec;
+        (void)writeFrame(w.inFd,
+                         buildWorkerRequest(cfg, names[p.idx], instrs,
+                                            warmup, p.attempt, opts));
+    };
+
+    // Closing stdin asks the worker to exit; it is reaped at EOF. The
+    // deadline bounds a worker that ignores the request.
+    auto retire = [&](WorkerProc &w) {
+        ::close(w.inFd);
+        w.inFd = -1;
+        w.cell.reset();
+        w.deadline = hostSeconds() + timeout_sec;
+    };
+
+    // After @p w returned a result: hand it the next run, or retire it.
+    // A worker that produced anything but success is retired so the
+    // next run starts in a clean process, and a run due an exec-fail
+    // injection must go to a fresh spawn.
+    auto next = [&](WorkerProc &w, bool last_ok) {
+        if (last_ok && !w.eof && !pending.empty() &&
+            !plan.shouldInject(FaultKind::ExecFail,
+                               names[pending.back().idx],
+                               pending.back().attempt)) {
+            Pending p = pending.back();
+            pending.pop_back();
+            send(w, p);
+        } else {
+            retire(w);
         }
     };
 
-    // Restart-or-commit for a worker that died without a usable
+    // Restart-or-commit for a run whose worker died without a usable
     // result. Crashes and exec failures may be transient (a bad page,
-    // a racing binary update) and restart with backoff; heartbeat
-    // timeouts never do — a hang that consumed the whole wall-clock
-    // budget once will consume it again.
+    // a racing binary update) and restart in a fresh worker with
+    // backoff; heartbeat timeouts never do — a hang that consumed the
+    // whole wall-clock budget once will consume it again.
     auto failOrRetry = [&](size_t idx, unsigned attempt,
                            SimError err) {
         warn("worker for '", names[idx], "' (attempt ", attempt, "): ",
@@ -272,7 +314,7 @@ runWorkloadsSupervised(const SimConfig &cfg,
             if (opts.backoffMs)
                 std::this_thread::sleep_for(std::chrono::milliseconds(
                     uint64_t(opts.backoffMs) * attempt));
-            launch(idx, attempt + 1);
+            pending.push_back({idx, attempt + 1});
             return;
         }
         RunOutcome out;
@@ -282,21 +324,43 @@ runWorkloadsSupervised(const SimConfig &cfg,
         commit(idx, std::move(out));
     };
 
-    // --- poll event loop --------------------------------------------
-    while (!pending.empty() || !active.empty()) {
-        while (active.size() < slots && !pending.empty()) {
-            size_t idx = pending.back();
-            pending.pop_back();
-            launch(idx, 1);
+    // Dispatches @p p to a fresh worker. A supervisor-side spawn
+    // failure (pipe/fork) takes the same bounded-restart path as a
+    // worker death. exec-fail injection happens here: the child execs a
+    // path that cannot exist, producing the real exit-127 signature.
+    auto launch = [&](Pending p) {
+        const bool exec_fail =
+            plan.shouldInject(FaultKind::ExecFail, names[p.idx], p.attempt);
+        auto w = spawnWorker(
+            exec_fail ? "/nonexistent/catchsim-exec-fail-injection" : bin);
+        if (!w.ok()) {
+            failOrRetry(p.idx, p.attempt, w.error());
+            return;
         }
-        if (active.empty())
+        workers.push_back(std::move(w).value());
+        send(workers.back(), p);
+    };
+
+    auto protocolFault = [](WorkerProc &w, std::string why) {
+        w.protocolError = std::move(why);
+        ::kill(w.pid, SIGKILL);
+    };
+
+    // --- poll event loop --------------------------------------------
+    while (!pending.empty() || !workers.empty()) {
+        while (workers.size() < slots && !pending.empty()) {
+            Pending p = pending.back();
+            pending.pop_back();
+            launch(p);
+        }
+        if (workers.empty())
             continue; // every launch may have committed a failure
 
-        std::vector<pollfd> fds(active.size());
-        double next_deadline = active[0].deadline;
-        for (size_t i = 0; i < active.size(); ++i) {
-            fds[i] = pollfd{active[i].outFd, POLLIN, 0};
-            next_deadline = std::min(next_deadline, active[i].deadline);
+        std::vector<pollfd> fds(workers.size());
+        double next_deadline = workers[0].deadline;
+        for (size_t i = 0; i < workers.size(); ++i) {
+            fds[i] = pollfd{workers[i].outFd, POLLIN, 0};
+            next_deadline = std::min(next_deadline, workers[i].deadline);
         }
         double wait_sec = next_deadline - hostSeconds();
         int timeout_ms = static_cast<int>(
@@ -304,9 +368,8 @@ runWorkloadsSupervised(const SimConfig &cfg,
         ::poll(fds.data(), fds.size(), timeout_ms);
 
         const double now = hostSeconds();
-        std::vector<char> finished(active.size(), 0);
-        for (size_t i = 0; i < active.size(); ++i) {
-            WorkerProc &w = active[i];
+        for (size_t i = 0; i < workers.size(); ++i) {
+            WorkerProc &w = workers[i];
             if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
                 char buf[4096];
                 for (;;) {
@@ -323,108 +386,67 @@ runWorkloadsSupervised(const SimConfig &cfg,
                     if (n < 0 &&
                         (errno == EAGAIN || errno == EWOULDBLOCK))
                         break;
-                    finished[i] = 1; // EOF or unreadable pipe
+                    w.eof = true; // EOF or unreadable pipe
                     break;
                 }
-                if (w.protocolError.empty()) {
-                    std::string frame;
-                    int rc;
-                    while ((rc = w.decoder.next(&frame)) == 1) {
-                        if (isHeartbeatFrame(frame))
-                            continue;
-                        auto res = parseWorkerResult(frame);
-                        if (res.ok()) {
-                            w.gotResult = true;
-                            w.result = std::move(res).value();
-                        } else {
-                            w.protocolError = res.error().message;
-                            ::kill(w.pid, SIGKILL);
-                            break;
+                std::string frame;
+                int rc = 0;
+                while (w.protocolError.empty() && !w.killedForTimeout &&
+                       (rc = w.decoder.next(&frame)) == 1) {
+                    if (isHeartbeatFrame(frame))
+                        continue;
+                    auto res = parseWorkerResult(frame);
+                    if (!res.ok()) {
+                        protocolFault(w, res.error().message);
+                    } else if (!w.cell) {
+                        protocolFault(w, "result frame with no request "
+                                         "in flight");
+                    } else {
+                        // Commit at decode: the worker stays alive, and
+                        // whatever happens to it later cannot touch
+                        // this run.
+                        RunOutcome out = std::move(res).value();
+                        const bool ok = out.ok();
+                        if (w.processAttempt > 1 && ok) {
+                            // Restarts promote Ok to Retried so
+                            // campaign summaries reflect the recovery;
+                            // the SimResult payload itself is
+                            // untouched (bitwise identity).
+                            out.status = RunStatus::Retried;
+                            out.attempts = w.processAttempt;
                         }
-                    }
-                    if (rc == -1 && w.protocolError.empty()) {
-                        w.protocolError = w.decoder.error();
-                        ::kill(w.pid, SIGKILL);
+                        commit(*w.cell, std::move(out));
+                        next(w, ok);
                     }
                 }
+                if (rc == -1 && w.protocolError.empty())
+                    protocolFault(w, w.decoder.error());
             }
-            if (!finished[i] && !w.killedForTimeout &&
-                now > w.deadline) {
+            if (!w.eof && !w.killedForTimeout && now > w.deadline) {
                 // Watchdog: silence past the budget. SIGKILL; the EOF
-                // this forces classifies the slot as heartbeat-timeout.
+                // this forces classifies an in-flight run as
+                // heartbeat-timeout.
                 w.killedForTimeout = true;
                 ::kill(w.pid, SIGKILL);
             }
         }
 
-        // Reap finished workers (reverse order keeps indices stable),
-        // then classify outside the scan so launch() may grow active.
-        std::vector<WorkerProc> done;
-        for (size_t i = active.size(); i-- > 0;) {
-            if (!finished[i])
+        // Reap workers at EOF (reverse order keeps indices stable); a
+        // run still in flight died with its worker.
+        for (size_t i = workers.size(); i-- > 0;) {
+            WorkerProc &w = workers[i];
+            if (!w.eof)
                 continue;
-            done.push_back(std::move(active[i]));
-            active.erase(active.begin() +
-                         static_cast<ptrdiff_t>(i));
-        }
-        for (WorkerProc &w : done) {
             int wstatus = 0;
             ::waitpid(w.pid, &wstatus, 0);
+            if (w.inFd >= 0)
+                ::close(w.inFd);
             ::close(w.outFd);
-            const size_t idx = w.runIndex;
-            const unsigned attempt = w.processAttempt;
-            if (w.killedForTimeout) {
-                RunOutcome out;
-                out.status = RunStatus::Crashed;
-                out.attempts = attempt;
-                out.failure = RunFailure{
-                    simError(ErrorCategory::HeartbeatTimeout,
-                             "worker heartbeat silent for more than ",
-                             opts.heartbeatTimeoutMs, " ms; killed"),
-                    attempt};
-                commit(idx, std::move(out));
-            } else if (!w.protocolError.empty()) {
-                failOrRetry(idx, attempt,
-                            simError(ErrorCategory::Crashed,
-                                     "worker protocol error: ",
-                                     w.protocolError));
-            } else if (w.gotResult) {
-                RunOutcome out = std::move(w.result);
-                if (attempt > 1 && out.ok()) {
-                    // Restarts promote Ok to Retried so campaign
-                    // summaries reflect the recovery; the SimResult
-                    // payload itself is untouched (bitwise identity).
-                    out.status = RunStatus::Retried;
-                    out.attempts = attempt;
-                }
-                commit(idx, std::move(out));
-            } else if (WIFSIGNALED(wstatus)) {
-                failOrRetry(idx, attempt,
-                            simError(ErrorCategory::Crashed,
-                                     "worker killed by signal ",
-                                     WTERMSIG(wstatus)));
-            } else {
-                int code =
-                    WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-                if (code == kExecFailExit) {
-                    failOrRetry(idx, attempt,
-                                simError(ErrorCategory::ExecFail,
-                                         "worker binary could not be "
-                                         "executed (exit 127 without "
-                                         "output)"));
-                } else if (code == 0) {
-                    failOrRetry(idx, attempt,
-                                simError(ErrorCategory::Crashed,
-                                         "worker closed its pipe "
-                                         "without a result"));
-                } else {
-                    failOrRetry(idx, attempt,
-                                simError(ErrorCategory::Crashed,
-                                         "worker exited with code ",
-                                         code,
-                                         " before sending a result"));
-                }
-            }
+            if (w.cell)
+                failOrRetry(*w.cell, w.processAttempt,
+                            deathCause(w, wstatus,
+                                       opts.heartbeatTimeoutMs));
+            workers.erase(workers.begin() + static_cast<ptrdiff_t>(i));
         }
     }
     return outcomes;

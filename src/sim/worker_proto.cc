@@ -1,10 +1,11 @@
 #include "sim/worker_proto.hh"
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "common/fault_inject.hh"
@@ -182,10 +183,12 @@ writeFrame(int fd, const std::string &payload)
     return {};
 }
 
-Expected<std::string>
+Expected<std::optional<std::string>>
 readFrame(int fd)
 {
-    auto read_exact = [fd](char *p, size_t n) -> Expected<void> {
+    // Reads up to @p n bytes, stopping early only at EOF; returns the
+    // count read.
+    auto read_full = [fd](char *p, size_t n) -> Expected<size_t> {
         size_t off = 0;
         while (off < n) {
             ssize_t got = ::read(fd, p + off, n - off);
@@ -196,28 +199,36 @@ readFrame(int fd)
                                 "frame read failed (errno ", errno, ")");
             }
             if (got == 0)
-                return simError(ErrorCategory::Crashed,
-                                "pipe closed mid-frame (", off, " of ",
-                                n, " bytes)");
+                break;
             off += static_cast<size_t>(got);
         }
-        return {};
+        return off;
     };
 
     char hdr[4];
-    if (auto e = read_exact(hdr, 4); !e.ok())
-        return e.error();
+    auto got = read_full(hdr, 4);
+    if (!got.ok())
+        return got.error();
+    if (got.value() == 0)
+        return std::optional<std::string>(); // clean EOF: no more frames
+    if (got.value() < 4)
+        return simError(ErrorCategory::Crashed,
+                        "pipe closed mid-header (", got.value(),
+                        " of 4 bytes)");
     uint32_t len = decodeLen(hdr);
     if (len > kMaxFrameBytes)
         return simError(ErrorCategory::Crashed, "frame length ", len,
                         " exceeds the ", uint64_t(kMaxFrameBytes),
                         "-byte cap (corrupt prefix)");
     std::string payload(len, '\0');
-    if (len) {
-        if (auto e = read_exact(payload.data(), len); !e.ok())
-            return e.error();
-    }
-    return payload;
+    got = read_full(payload.data(), len);
+    if (!got.ok())
+        return got.error();
+    if (got.value() < len)
+        return simError(ErrorCategory::Crashed,
+                        "pipe closed mid-payload (", got.value(), " of ",
+                        len, " bytes)");
+    return std::optional<std::string>(std::move(payload));
 }
 
 void
@@ -686,6 +697,59 @@ heartbeatPayload()
     return w.str();
 }
 
+namespace
+{
+
+/**
+ * Writes heartbeat frames to stdout every @p periodMs — the first at
+ * once, telling the supervisor the run has started — until destroyed.
+ * The destructor wakes the thread through the condition variable and
+ * joins it, so the run's end is not held up by a sleeping beat, and no
+ * beat can follow (or interleave with) the result frame written after.
+ */
+class Heartbeat
+{
+  public:
+    explicit Heartbeat(unsigned periodMs)
+        : thread_([this, periodMs] { beat(periodMs); })
+    {
+    }
+
+    ~Heartbeat()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        wake_.notify_one();
+        thread_.join();
+    }
+
+    Heartbeat(const Heartbeat &) = delete;
+    Heartbeat &operator=(const Heartbeat &) = delete;
+
+  private:
+    void
+    beat(unsigned periodMs)
+    {
+        const std::string frame = heartbeatPayload();
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!done_) {
+            if (!writeFrame(STDOUT_FILENO, frame).ok())
+                return; // supervisor gone; SIGKILL will follow
+            wake_.wait_for(lock, std::chrono::milliseconds(periodMs),
+                           [this] { return done_; });
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    bool done_ = false;
+    std::thread thread_; ///< last: starts after the members it uses
+};
+
+} // namespace
+
 int
 workerMain()
 {
@@ -704,69 +768,56 @@ workerMain()
         return 1;
     };
 
-    auto raw = readFrame(STDIN_FILENO);
-    if (!raw.ok())
-        return fail(simError(ErrorCategory::Internal,
-                             "worker could not read its request: ",
-                             raw.error().message));
-    auto req = parseWorkerRequest(raw.value());
-    if (!req.ok())
-        return fail(simError(ErrorCategory::Internal,
-                             "worker rejected its request: ",
-                             req.error().message));
-    WorkerRequest r = std::move(req).value();
-
-    // Process-level fault injection, counted by process attempt: a
-    // ':xN' clause crashes the first N spawns and lets restart N+1
-    // through. The plan arrives via the inherited environment.
     const FaultPlan &plan = FaultPlan::global();
-    if (plan.shouldInject(FaultKind::CrashAbort, r.workload,
-                          r.attemptBase))
-        std::abort(); // catch-lint: allow(fatal-boundary) injected crash
-    if (plan.shouldInject(FaultKind::CrashSegv, r.workload,
-                          r.attemptBase))
-        raise(SIGSEGV);
-    if (plan.shouldInject(FaultKind::Oom, r.workload, r.attemptBase))
-        raise(SIGKILL); // the OOM killer's signal, without the memory
-    const bool stalled = plan.shouldInject(FaultKind::HeartbeatStall,
-                                           r.workload, r.attemptBase);
-    if (stalled) {
-        // Silent forever: no heartbeat thread, no result. Only the
-        // supervisor's wall-clock watchdog can end this process.
-        for (;;)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    for (;;) {
+        auto raw = readFrame(STDIN_FILENO);
+        if (!raw.ok())
+            return fail(simError(ErrorCategory::Internal,
+                                 "worker could not read its request: ",
+                                 raw.error().message));
+        if (!raw.value())
+            return 0; // stdin closed between requests: no more work
+        auto req = parseWorkerRequest(*raw.value());
+        if (!req.ok())
+            return fail(simError(ErrorCategory::Internal,
+                                 "worker rejected its request: ",
+                                 req.error().message));
+        const WorkerRequest r = std::move(req).value();
 
-    // The heartbeat thread owns stdout until the run finishes; the
-    // result frame is written only after join(), so frames never
-    // interleave. The first beat goes out immediately, telling the
-    // supervisor the exec succeeded.
-    std::atomic<bool> done{false};
-    std::thread heartbeat([&done, period = r.opts.heartbeatMs] {
-        const std::string beat = heartbeatPayload();
-        while (!done.load(std::memory_order_relaxed)) {
-            if (!writeFrame(STDOUT_FILENO, beat).ok())
-                return; // supervisor gone; SIGKILL will follow
-            unsigned slept = 0;
-            while (slept < period &&
-                   !done.load(std::memory_order_relaxed)) {
-                unsigned slice = std::min(50u, period - slept);
+        // Process-level fault injection, counted by process attempt: a
+        // ':xN' clause crashes the first N dispatches of the run and
+        // lets dispatch N+1 through. Checked per request, so a fault
+        // aimed at a later run still fires in a worker that has
+        // already served others. The plan arrives via the inherited
+        // environment.
+        if (plan.shouldInject(FaultKind::CrashAbort, r.workload,
+                              r.attemptBase))
+            std::abort(); // catch-lint: allow(fatal-boundary) injected crash
+        if (plan.shouldInject(FaultKind::CrashSegv, r.workload,
+                              r.attemptBase))
+            raise(SIGSEGV);
+        if (plan.shouldInject(FaultKind::Oom, r.workload, r.attemptBase))
+            raise(SIGKILL); // the OOM killer's signal, without the memory
+        if (plan.shouldInject(FaultKind::HeartbeatStall, r.workload,
+                              r.attemptBase)) {
+            // Silent forever: no heartbeat thread, no result. Only the
+            // supervisor's wall-clock watchdog can end this process.
+            for (;;)
                 std::this_thread::sleep_for(
-                    std::chrono::milliseconds(slice));
-                slept += slice;
-            }
+                    std::chrono::milliseconds(50));
         }
-    });
 
-    RunOutcome out = executeContainedRun(r.cfg, r.workload, r.instrs,
-                                         r.warmup, r.opts,
-                                         ChunkStore::global(),
-                                         WarmStateStore::global());
-    done.store(true, std::memory_order_relaxed);
-    heartbeat.join();
-
-    return writeFrame(STDOUT_FILENO, buildWorkerResult(out)).ok() ? 0
-                                                                  : 1;
+        RunOutcome out;
+        {
+            Heartbeat heartbeat(r.opts.heartbeatMs);
+            out = executeContainedRun(r.cfg, r.workload, r.instrs,
+                                      r.warmup, r.opts,
+                                      ChunkStore::global(),
+                                      WarmStateStore::global());
+        }
+        if (!writeFrame(STDOUT_FILENO, buildWorkerResult(out)).ok())
+            return 1;
+    }
 }
 
 } // namespace catchsim

@@ -4,23 +4,28 @@
  * processes (process-isolated execution, sim/supervisor.hh).
  *
  * Framing: every message is a 4-byte little-endian u32 payload length
- * followed by that many bytes of JSON. Three message types flow worker
+ * followed by that many bytes of JSON. Two message types flow worker
  * -> supervisor on the worker's stdout:
  *
- *   {"type":"heartbeat"}                 liveness; feeds the wall-clock
+ *   {"type":"heartbeat"}                 liveness while a run is in
+ *                                        flight; feeds the wall-clock
  *                                        watchdog, carries no data
  *   {"type":"result", ...}               the run's RunOutcome: status,
  *                                        attempts, then "result" (ok) or
  *                                        "error" {category, message},
  *                                        plus optional "hostPerf"
  *
- * and exactly one message flows supervisor -> worker on the worker's
- * stdin: the request, carrying the workload name, instruction counts,
- * the full SimConfig (configToJson) and the containment knobs the
- * worker needs (budget, attempt limits, heartbeat period). The worker
- * inherits the supervisor's environment, so env-driven state
- * (CATCH_FAULT_INJECT, the trace chunk store, sampling knobs) needs no
- * explicit plumbing.
+ * and request frames flow supervisor -> worker on the worker's stdin,
+ * one per run: the workload name, instruction counts, the full
+ * SimConfig (configToJson) and the containment knobs the worker needs
+ * (budget, attempt limits, heartbeat period). A worker serves requests
+ * one at a time — request, heartbeats, result — until the supervisor
+ * closes its stdin; a clean EOF at a frame boundary means "no more
+ * work" and the worker exits 0. The worker inherits the supervisor's
+ * environment, so env-driven state (CATCH_FAULT_INJECT, the trace chunk
+ * store, sampling knobs) needs no explicit plumbing, and process-wide
+ * state (stores, RunProfile::peakRssBytes) accumulates over the runs a
+ * worker serves, exactly as it does in process.
  *
  * The supervisor parses worker bytes with FrameDecoder, which treats
  * every malformation — garbage length prefix, oversized frame,
@@ -39,6 +44,7 @@
 #ifndef CATCHSIM_SIM_WORKER_PROTO_HH_
 #define CATCHSIM_SIM_WORKER_PROTO_HH_
 
+#include <optional>
 #include <string>
 
 #include "common/error.hh"
@@ -60,10 +66,12 @@ Expected<void> writeFrame(int fd, const std::string &payload);
 
 /**
  * Blocking read of one complete frame from @p fd (the worker reading
- * its request). EOF before a full frame or an oversized length prefix
- * is a crashed-category error.
+ * its next request). A clean EOF before the first header byte returns
+ * std::nullopt ("no more requests"); EOF inside a frame (a partial
+ * header or a short payload) or an oversized length prefix is a
+ * crashed-category error.
  */
-Expected<std::string> readFrame(int fd);
+Expected<std::optional<std::string>> readFrame(int fd);
 
 /**
  * Incremental frame reassembly for the supervisor's poll loop: feed()
@@ -153,12 +161,14 @@ Expected<SimConfig> configFromJson(const JsonValue &v);
 uint64_t configDigest(const SimConfig &cfg);
 
 /**
- * Entry point of the hidden --worker mode: reads one request frame
- * from stdin, heartbeats on stdout while executing the run via
- * executeContainedRun (the same unit of work the in-process executor
- * uses), writes one result frame, exits. Never touches journals or
- * result stores — persistence is the supervisor's job, so a SIGKILLed
- * worker cannot leave half-written campaign state behind.
+ * Entry point of the hidden --worker mode: serves request frames from
+ * stdin until a clean EOF, answering each with heartbeats on stdout
+ * while executing the run via executeContainedRun (the same unit of
+ * work the in-process executor uses) and then one result frame.
+ * Returns 0 on a clean EOF, 1 when a request cannot be read or parsed
+ * or stdout breaks. Never touches journals or result stores —
+ * persistence is the supervisor's job, so a SIGKILLed worker cannot
+ * leave half-written campaign state behind.
  */
 int workerMain();
 

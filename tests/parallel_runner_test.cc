@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -261,30 +262,42 @@ TEST(ParallelRunner, SuiteJsonExportRoundTrips)
  * smaller machines (e.g. single-core CI containers) the wall-clock
  * claim is meaningless, so the test reduces to the determinism check
  * and skips the timing assertion.
+ *
+ * The measurement is built to survive a shared host. Each pass is
+ * about a second of serial work, so per-thread start-up (malloc arenas
+ * faulting in, pool creation) stays a small share of it. Serial and
+ * parallel passes alternate, three of each, and the best of each side
+ * is compared: a neighbour's burst can only slow a pass down, so the
+ * minimum is the closest estimate of the uncontended time. ctest runs
+ * this binary RUN_SERIAL so its own suite cannot be the neighbour.
  */
 TEST(ParallelRunner, QuickSuiteSpeedupWithFourJobs)
 {
     ExperimentEnv env;
     env.names = stQuickNames();
-    env.instrs = 60000;
-    env.warmup = 15000;
+    env.instrs = 300000;
+    env.warmup = 75000;
 
     using clock = std::chrono::steady_clock;
-    auto t0 = clock::now();
-    env.jobs = 1;
-    auto serial = runSuite(baselineSkx(), env);
-    auto t1 = clock::now();
-    env.jobs = 4;
-    auto parallel = runSuite(baselineSkx(), env);
-    auto t2 = clock::now();
+    auto timed = [&env](unsigned jobs, std::vector<SimResult> *out) {
+        env.jobs = jobs;
+        auto t0 = clock::now();
+        *out = runSuite(baselineSkx(), env);
+        return std::chrono::duration<double>(clock::now() - t0).count();
+    };
 
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i)
-        expectBitwiseEqual(serial[i], parallel[i]);
+    std::vector<SimResult> serial, parallel;
+    double serial_s = 1e30, parallel_s = 1e30;
+    for (int pass = 0; pass < 3; ++pass) {
+        serial_s = std::min(serial_s, timed(1, &serial));
+        parallel_s = std::min(parallel_s, timed(4, &parallel));
+        ASSERT_EQ(serial.size(), parallel.size());
+        for (size_t i = 0; i < serial.size(); ++i)
+            expectBitwiseEqual(serial[i], parallel[i]);
+    }
 
-    double serial_s = std::chrono::duration<double>(t1 - t0).count();
-    double parallel_s = std::chrono::duration<double>(t2 - t1).count();
-    std::printf("quick suite: serial %.2fs, 4 jobs %.2fs (%.2fx)\n",
+    std::printf("quick suite, best of 3: serial %.2fs, 4 jobs %.2fs "
+                "(%.2fx)\n",
                 serial_s, parallel_s, serial_s / parallel_s);
     if (std::thread::hardware_concurrency() < 4)
         GTEST_SKIP() << "needs >= 4 hardware threads for the timing "

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -34,6 +35,7 @@
 #include "sim/worker_proto.hh"
 #include "sim_result_compare.hh"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace catchsim
@@ -84,19 +86,65 @@ TEST(WorkerProto, FramesRoundTripThroughAPipe)
     ASSERT_EQ(::pipe(fds), 0);
     const std::string payload = "{\"type\":\"heartbeat\"}";
     ASSERT_TRUE(writeFrame(fds[1], payload).ok());
-    auto got = readFrame(fds[0]);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), payload);
-    EXPECT_TRUE(isHeartbeatFrame(got.value()));
-
-    // EOF mid-stream is a crashed-category error, not UB.
     ASSERT_TRUE(writeFrame(fds[1], payload).ok());
     ::close(fds[1]);
-    ASSERT_TRUE(readFrame(fds[0]).ok());
+    for (int i = 0; i < 2; ++i) {
+        auto got = readFrame(fds[0]);
+        ASSERT_TRUE(got.ok());
+        ASSERT_TRUE(got.value().has_value());
+        EXPECT_EQ(*got.value(), payload);
+        EXPECT_TRUE(isHeartbeatFrame(*got.value()));
+    }
+    // EOF at a frame boundary is the "no more requests" signal a
+    // persistent worker exits on, not an error.
     auto eof = readFrame(fds[0]);
-    ASSERT_FALSE(eof.ok());
-    EXPECT_EQ(eof.error().category, ErrorCategory::Crashed);
+    ASSERT_TRUE(eof.ok());
+    EXPECT_FALSE(eof.value().has_value());
     ::close(fds[0]);
+}
+
+/** readFrame over a pipe holding exactly @p wire, then EOF. */
+Expected<std::optional<std::string>>
+readFrameFrom(const std::string &wire)
+{
+    int fds[2];
+    EXPECT_EQ(::pipe(fds), 0);
+    EXPECT_EQ(::write(fds[1], wire.data(), wire.size()),
+              ssize_t(wire.size()));
+    ::close(fds[1]);
+    auto got = readFrame(fds[0]);
+    ::close(fds[0]);
+    return got;
+}
+
+TEST(WorkerProto, ReadFrameTellsCleanEofFromTruncation)
+{
+    // 0 bytes: a clean EOF at a frame boundary.
+    auto clean = readFrameFrom("");
+    ASSERT_TRUE(clean.ok());
+    EXPECT_FALSE(clean.value().has_value());
+
+    // 1-3 header bytes: truncated inside the length prefix.
+    for (size_t n = 1; n <= 3; ++n) {
+        auto cut = readFrameFrom(std::string(n, '\x05'));
+        ASSERT_FALSE(cut.ok()) << n << " header bytes";
+        EXPECT_EQ(cut.error().category, ErrorCategory::Crashed);
+    }
+
+    // A full header promising more payload than arrives.
+    const std::string payload = heartbeatPayload();
+    std::string wire(4, '\0');
+    wire[0] = char(payload.size());
+    wire += payload.substr(0, payload.size() / 2);
+    auto short_payload = readFrameFrom(wire);
+    ASSERT_FALSE(short_payload.ok());
+    EXPECT_EQ(short_payload.error().category, ErrorCategory::Crashed);
+
+    // A zero-length frame is a frame, not EOF.
+    auto empty = readFrameFrom(std::string(4, '\0'));
+    ASSERT_TRUE(empty.ok());
+    ASSERT_TRUE(empty.value().has_value());
+    EXPECT_TRUE(empty.value()->empty());
 }
 
 TEST(WorkerProto, DecoderReassemblesByteByByte)
@@ -376,6 +424,132 @@ TEST(Supervisor, UnknownWorkloadFailsInItsSlot)
     ASSERT_FALSE(out[0].ok());
     EXPECT_EQ(out[0].status, RunStatus::Failed);
     EXPECT_EQ(out[0].failure->error.category, ErrorCategory::Config);
+}
+
+// ---------------------- persistent workers -----------------------
+
+/** Worker processes forked while @p body runs. */
+template <typename Body>
+uint64_t
+spawnsDuring(Body &&body)
+{
+    const uint64_t before = workerSpawnCount();
+    body();
+    return workerSpawnCount() - before;
+}
+
+TEST(Supervisor, OneWorkerPerSlotNotPerRun)
+{
+    const std::vector<std::string> names = {"mcf",   "hmmer", "omnetpp",
+                                            "gobmk", "astar", "sjeng"};
+    SimConfig cfg = baselineSkx();
+    std::vector<RunOutcome> out;
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               2, fastOpts());
+              }),
+              2u);
+    // Every worker was reaped before the call returned.
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+    auto inproc = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
+                                       fastOpts());
+    for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(out[i].ok()) << names[i];
+        EXPECT_EQ(out[i].status, RunStatus::Ok);
+        expectBitwiseEqual(inproc[i].result, out[i].result);
+    }
+
+    // A crash retires its worker; the restart gets a fresh one.
+    EnvGuard fault("CATCH_FAULT_INJECT", "crash-abort:omnetpp:x1");
+    std::vector<RunOutcome> retried;
+    EXPECT_EQ(spawnsDuring([&] {
+                  retried = runWorkloadsSupervised(cfg, names, kInstr,
+                                                   kWarm, 2, fastOpts());
+              }),
+              3u);
+    for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(retried[i].ok()) << names[i];
+        EXPECT_EQ(retried[i].status, names[i] == "omnetpp"
+                                         ? RunStatus::Retried
+                                         : RunStatus::Ok);
+        expectBitwiseEqual(inproc[i].result, retried[i].result);
+    }
+}
+
+TEST(Supervisor, CrashMidQueueKeepsEarlierAndLaterRuns)
+{
+    // Equal cost estimates dispatch in reverse order at jobs=1:
+    // omnetpp, then mcf, then hmmer — so mcf crashes in a worker that
+    // already returned a run, and hmmer runs after the crash.
+    EnvGuard fault("CATCH_FAULT_INJECT", "crash-segv:mcf");
+    const std::vector<std::string> names = {"hmmer", "mcf", "omnetpp"};
+    SimConfig cfg = baselineSkx();
+    IsolationOptions opts = fastOpts();
+    opts.maxAttempts = 2;
+    auto out = runWorkloadsSupervised(cfg, names, kInstr, kWarm, 1, opts);
+    ASSERT_EQ(out.size(), 3u);
+
+    ASSERT_FALSE(out[1].ok());
+    EXPECT_EQ(out[1].status, RunStatus::Crashed);
+    EXPECT_EQ(out[1].failure->error.category, ErrorCategory::Crashed);
+    EXPECT_EQ(out[1].attempts, opts.maxAttempts);
+
+    auto clean = runWorkloadsIsolated(cfg, {"hmmer", "omnetpp"}, kInstr,
+                                      kWarm, 1);
+    for (size_t i : {size_t(0), size_t(2)}) {
+        ASSERT_TRUE(out[i].ok()) << names[i];
+        EXPECT_EQ(out[i].status, RunStatus::Ok);
+    }
+    expectBitwiseEqual(clean[0].result, out[0].result);
+    expectBitwiseEqual(clean[1].result, out[2].result);
+}
+
+TEST(Supervisor, FailedRunRetiresItsWorker)
+{
+    // The unknown name dispatches first (equal estimates, reverse
+    // order); its in-band failure retires the worker, so mcf runs in a
+    // second, fresh process.
+    const std::vector<std::string> names = {"mcf", "no-such-workload"};
+    SimConfig cfg = baselineSkx();
+    std::vector<RunOutcome> out;
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               1, fastOpts());
+              }),
+              2u);
+    ASSERT_FALSE(out[1].ok());
+    EXPECT_EQ(out[1].status, RunStatus::Failed);
+    EXPECT_EQ(out[1].failure->error.category, ErrorCategory::Config);
+    ASSERT_TRUE(out[0].ok());
+    auto clean = runWorkloadsIsolated(cfg, {"mcf"}, kInstr, kWarm, 1);
+    expectBitwiseEqual(clean[0].result, out[0].result);
+}
+
+TEST(Supervisor, ExecFailureFiresOnALaterDispatch)
+{
+    // mcf is the second run dispatched at jobs=1. Its injected exec
+    // failure must still fire: the dispatch goes to a fresh spawn,
+    // never to the worker that served omnetpp.
+    FaultPlan plan = mustParse("exec-fail:mcf");
+    const std::vector<std::string> names = {"hmmer", "mcf", "omnetpp"};
+    SimConfig cfg = baselineSkx();
+    IsolationOptions opts = fastOpts();
+    opts.plan = &plan;
+    opts.maxAttempts = 2;
+    std::vector<RunOutcome> out;
+    // omnetpp's worker, two exec-fail spawns for mcf, hmmer's worker.
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               1, opts);
+              }),
+              4u);
+    ASSERT_FALSE(out[1].ok());
+    EXPECT_EQ(out[1].status, RunStatus::Crashed);
+    EXPECT_EQ(out[1].failure->error.category, ErrorCategory::ExecFail);
+    EXPECT_EQ(out[1].attempts, 2u);
+    EXPECT_TRUE(out[0].ok());
+    EXPECT_TRUE(out[2].ok());
 }
 
 } // namespace

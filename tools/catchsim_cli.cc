@@ -41,8 +41,9 @@
  *                               <dir>/journal.jsonl; a rerun with the
  *                               same journal re-executes only runs that
  *                               did not finish successfully
- *   --isolate                   run every simulation in its own worker
- *                               process under the wall-clock supervisor
+ *   --isolate                   run simulations in worker processes
+ *                               (one per job, reused across runs) under
+ *                               the wall-clock supervisor
  *                               (sim/supervisor.hh): a crash or hang in
  *                               one run becomes a typed failure in its
  *                               slot instead of killing the campaign.

@@ -15,12 +15,13 @@ Used by tools/ci/fault_matrix.sh. Four modes:
       (the rest resumed), succeeded everywhere, and produced results
       identical to the clean campaign.
 
-  --clean clean.json --crashed crashed.json
+  --clean clean.json --crashed crashed.json [--injected a,b,c]
       A process-isolated campaign with crash injection: every crashed
       slot must be typed (status "crashed", category crashed /
       heartbeat-timeout / exec-fail, no result payload), at least one
-      slot must have crashed, the summary must tally them, and every
-      surviving slot must be identical to the clean campaign.
+      slot must have crashed (with --injected: exactly those slots),
+      the summary must tally them, and every surviving slot must be
+      identical to the clean campaign.
 
   --store suite.json --hits N --misses M [--clean clean.json]
       Result-store accounting: the summary's store_hits/store_misses
@@ -128,7 +129,7 @@ def check_resumed(clean, resumed, injected):
 CRASH_CATEGORIES = {"crashed", "heartbeat-timeout", "exec-fail"}
 
 
-def check_crashed(clean, crashed):
+def check_crashed(clean, crashed, injected):
     cdoc, cruns = load(clean)
     kdoc, kruns = load(crashed)
     if set(cruns) != set(kruns):
@@ -139,6 +140,8 @@ def check_crashed(clean, crashed):
     if not dead:
         die("no crashed slots: the injection selected nobody, so the "
             "matrix cell proves nothing")
+    if injected is not None and dead != sorted(injected):
+        die(f"crashed slots {dead}, want exactly {sorted(injected)}")
     s = kdoc["summary"]
     if s["crashed"] != len(dead):
         die(f"summary crashed={s['crashed']}, want {len(dead)}")
@@ -193,9 +196,11 @@ def main():
     ap.add_argument("--faulty")
     ap.add_argument("--resumed")
     ap.add_argument("--crashed")
-    ap.add_argument("--injected", default=",".join(INJECTED),
+    ap.add_argument("--injected",
                     help="comma-separated workloads the --resumed "
-                         "campaign had to re-execute")
+                         "campaign had to re-execute (default: the "
+                         "--faulty spec's), or exactly the crashed "
+                         "slots of a --crashed campaign")
     ap.add_argument("--store")
     ap.add_argument("--hits", type=int)
     ap.add_argument("--misses", type=int)
@@ -212,13 +217,16 @@ def main():
         return
     if not args.clean:
         ap.error("this mode needs --clean")
+    injected = None
+    if args.injected is not None:
+        injected = [n for n in args.injected.split(",") if n]
     if args.faulty:
         check_faulty(args.clean, args.faulty)
     elif args.crashed:
-        check_crashed(args.clean, args.crashed)
+        check_crashed(args.clean, args.crashed, injected)
     else:
         check_resumed(args.clean, args.resumed,
-                      [n for n in args.injected.split(",") if n])
+                      list(INJECTED) if injected is None else injected)
 
 
 if __name__ == "__main__":

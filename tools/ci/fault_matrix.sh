@@ -23,7 +23,11 @@
 #      cross-worker-count bitwise identity;
 #   6. crash-segv injected into ~25% of workers: exit 2, crashed slots
 #      typed, survivors bitwise-identical to clean, identical at both
-#      job counts;
+#      job counts; then, at jobs=1, a crash aimed at a run that is not
+#      the first one its worker serves (workers persist across runs):
+#      only that run is lost, and the runs before and after it are
+#      bitwise-identical to clean, and the same campaign without the
+#      crash is byte-identical to the in-process clean export;
 #   7. exec-fail and heartbeat-stall cells exit 2 (typed at the unit
 #      level; here the exit-code contract is what is pinned);
 #   8. an OOM-killed campaign with --journal + --result-store exits 2,
@@ -157,6 +161,25 @@ done
 cmp "$WORK/crash8.json" "$WORK/crash16.json"
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --crashed "$WORK/crash8.json"
+
+echo "== one persistent worker serves the whole campaign (jobs=1) =="
+# Runs that share a worker process must not see each other: the export
+# is byte-identical to the in-process one.
+run_expect 0 env "${ISO_ENV[@]}" \
+    "$CLI" "${ARGS[@]}" --isolate --jobs=1 \
+    --json="$WORK/iso1.json" "${NAMES[@]}"
+cmp "$WORK/clean.json" "$WORK/iso1.json"
+
+echo "== a crash mid-queue in a persistent worker (jobs=1) =="
+# Longest-first at jobs=1 serves tpcc, hpc.stream, then milc: milc
+# crashes in a worker that already returned two runs, and the four
+# runs after it go to a fresh worker.
+run_expect 2 env "${ISO_ENV[@]}" CATCH_FAULT_INJECT='crash-segv:milc' \
+    "$CLI" "${ARGS[@]}" --isolate --jobs=1 \
+    --json="$WORK/crash_mid.json" "${NAMES[@]}"
+python3 "$HERE/check_fault_matrix.py" \
+    --clean "$WORK/clean.json" --crashed "$WORK/crash_mid.json" \
+    --injected milc
 
 echo "== exec failures and heartbeat stalls exit 2 =="
 run_expect 2 env "${ISO_ENV[@]}" CATCH_FAULT_INJECT='exec-fail:mcf' \
