@@ -2,11 +2,13 @@
  * @file
  * google-benchmark microbenchmarks for the hot simulator structures:
  * cache lookup/fill, DDG retirement, critical-table queries, branch
- * prediction, DRAM access, issue-calendar scheduling and end-to-end
- * simulation throughput.
+ * prediction, DRAM access, issue-calendar and DRAM-bank timeline
+ * scheduling and end-to-end simulation throughput.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "cache/cache.hh"
 #include "common/issue_calendar.hh"
@@ -127,6 +129,45 @@ BM_IssueCalendar(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IssueCalendar);
+
+/**
+ * One DRAM bank's request pattern: 80-slot precharge+activate and
+ * 11-slot burst reservations on a single port at increasing times, with
+ * about one request in sixteen landing up to 2000 cycles in the past.
+ * Run on the one-port ring and on the span timeline that replaced it
+ * for DRAM banks and buses; both return the same cycles.
+ */
+template <typename Calendar>
+static void
+bankPattern(benchmark::State &state, Calendar &cal)
+{
+    Rng rng(8);
+    Cycle t = 0;
+    for (auto _ : state) {
+        uint32_t slots = rng.percent(40) ? 80 : 11;
+        Cycle at = t;
+        if (rng.percent(6))
+            at -= std::min<Cycle>(t, rng.below(2000));
+        benchmark::DoNotOptimize(cal.schedule(at, slots));
+        t += rng.below(120);
+    }
+}
+
+static void
+BM_BankPatternIssueCalendar(benchmark::State &state)
+{
+    IssueCalendar cal(1);
+    bankPattern(state, cal);
+}
+BENCHMARK(BM_BankPatternIssueCalendar);
+
+static void
+BM_BankPatternBusyTimeline(benchmark::State &state)
+{
+    BusyTimeline cal(kIssueWindow, 11);
+    bankPattern(state, cal);
+}
+BENCHMARK(BM_BankPatternBusyTimeline);
 
 /** End-to-end simulated instructions per second (hmmer, baseline). */
 static void

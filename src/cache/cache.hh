@@ -34,13 +34,14 @@ enum class FillSource : uint8_t
     Writeback,  ///< victim from an inner level
 };
 
-/** One cache line's metadata. */
+/**
+ * One cache line's metadata. The line address and valid bit live in
+ * Cache's per-set tag array, so a lookup probes contiguous words.
+ */
 struct CacheLine
 {
-    Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
     Cycle readyAt = 0;        ///< fill completion time
+    bool dirty = false;
     FillSource source = FillSource::Demand;
     /**
      * Hierarchy level the fill data came from. While the line is still
@@ -156,12 +157,21 @@ class Cache
 
   private:
     uint32_t setIndex(Addr addr) const;
+    /** Way holding @p addr's line in @p set, or ways if absent. */
+    uint32_t findWay(uint32_t set, Addr addr) const;
     Victim fillImpl(Addr addr, bool dirty, Cycle ready_at,
                     FillSource source, Level fill_level, bool count);
 
     std::string name_;
     CacheGeometry geom_;
     uint32_t numSets_;
+    /**
+     * Per line, set-major: its line address with bit 0 as the valid
+     * bit (line addresses have their low kLineShift bits clear). An
+     * invalidation clears only bit 0: saveWarmState writes the stale
+     * tag, which the snapshot byte format carries.
+     */
+    std::vector<Addr> tags_;
     std::vector<CacheLine> lines_;
     std::unique_ptr<ReplacementPolicy> repl_;
     CacheStats stats_;

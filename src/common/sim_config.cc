@@ -1,5 +1,7 @@
 #include "common/sim_config.hh"
 
+#include <utility>
+
 #include "common/bitutil.hh"
 #include "common/env.hh"
 
@@ -90,9 +92,30 @@ SimConfig::validate() const
     if (tact.any() && !criticality.enabled)
         return simError(ErrorCategory::Config,
                         "TACT prefetchers require criticality detection");
+    // Issue calendars pack a cycle's issue count into 8 bits, and a
+    // zero-port class could never issue.
+    for (auto [name, ports] : {std::pair{"aluPorts", aluPorts},
+                               std::pair{"loadPorts", loadPorts},
+                               std::pair{"storePorts", storePorts},
+                               std::pair{"fpPorts", fpPorts}})
+        if (ports == 0 || ports > 255)
+            return simError(ErrorCategory::Config, name, " (", ports,
+                            ") must be in 1..255");
     if (!isPowerOfTwo(dram.channels) || !isPowerOfTwo(dram.banksPerRank))
         return simError(ErrorCategory::Config,
                         "DRAM channels/banks must be powers of two");
+    if (dram.tRfc >= dram.tRefi)
+        return simError(ErrorCategory::Config,
+                        "DRAM refresh needs tRfc < tRefi (tRfc ", dram.tRfc,
+                        ", tRefi ", dram.tRefi, ")");
+    if (dram.writeDrainBatch == 0)
+        return simError(ErrorCategory::Config,
+                        "DRAM writeDrainBatch must be non-zero");
+    if (dram.writeDrainWatermark > dram.writeQueueDepth)
+        return simError(ErrorCategory::Config,
+                        "DRAM writeDrainWatermark (", dram.writeDrainWatermark,
+                        ") exceeds writeQueueDepth (", dram.writeQueueDepth,
+                        ")");
     if (sampling.sampled()) {
         if (sampling.windowInstrs == 0)
             return simError(ErrorCategory::Config,

@@ -9,10 +9,13 @@ Dram::Dram(const DramConfig &cfg) : cfg_(cfg)
 {
     uint32_t nbanks = cfg.channels * cfg.ranksPerChannel * cfg.banksPerRank;
     banks_.resize(nbanks);
+    // A bank reserves a burst (row hit) or precharge+activate (miss); a
+    // bus reserves bursts. Those floors size the timelines' storage.
+    const uint32_t bank_min = std::min(cfg.burstCycles, cfg.tRp + cfg.tRcd);
     for (uint32_t b = 0; b < nbanks; ++b)
-        bankCal_.emplace_back(1u);
+        bankCal_.emplace_back(kIssueWindow, bank_min);
     for (uint32_t c = 0; c < cfg.channels; ++c) {
-        busCal_.emplace_back(1u);
+        busCal_.emplace_back(kIssueWindow, cfg.burstCycles);
         channels_.push_back(Channel{});
         channels_.back().writeQueue.reserve(cfg.writeQueueDepth);
     }

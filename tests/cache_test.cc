@@ -166,6 +166,71 @@ TEST(Cache, UselessPrefetchEvictionCounted)
     EXPECT_EQ(c.stats().uselessPrefetchEvictions, 1u);
 }
 
+TEST(Cache, WarmStateKeepsStaleTagsOfInvalidatedLines)
+{
+    // The tag array keeps a line's address when it is invalidated (only
+    // the valid bit clears), and saveWarmState writes it, so snapshots
+    // stay byte-identical to when tag and valid were separate fields.
+    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    c.fill(0x1000, true, 7, FillSource::StridePf, Level::L2); // set 0
+    c.fill(0x1040, false, 9, FillSource::Demand, Level::Mem); // set 1
+    c.fill(0x2000, false, 3, FillSource::TactPf, Level::LLC); // set 0
+    EXPECT_TRUE(c.invalidate(0x1000));
+    EXPECT_FALSE(c.invalidate(0x1040));
+    EXPECT_EQ(c.peek(0x1000), nullptr);
+
+    StateSink sink;
+    c.saveWarmState(sink);
+
+    // Lines in set-major order: tag, valid, dirty, readyAt, source,
+    // fillLevel, usedSinceFill.
+    StateSink want;
+    want.tag(stateTag("CACH"));
+    want.u64(4);
+    auto line = [&](Addr tag, bool valid, bool dirty, Cycle ready,
+                    FillSource src, Level lvl) {
+        want.u64(tag);
+        want.boolean(valid);
+        want.boolean(dirty);
+        want.u64(ready);
+        want.u8(static_cast<uint8_t>(src));
+        want.u8(static_cast<uint8_t>(lvl));
+        want.boolean(false);
+    };
+    line(0x1000, false, true, 7, FillSource::StridePf, Level::L2);
+    line(0x2000, true, false, 3, FillSource::TactPf, Level::LLC);
+    line(0x1040, false, false, 9, FillSource::Demand, Level::Mem);
+    line(0, false, false, 0, FillSource::Demand, Level::None);
+    ASSERT_GE(sink.bytes().size(), want.bytes().size());
+    EXPECT_EQ(sink.bytes().substr(0, want.bytes().size()), want.bytes());
+
+    // Restoring brings the stale tags back as invalid lines, and saving
+    // again reproduces the stream byte for byte.
+    Cache restored("t", tinyGeom(), ReplKind::Lru, 1);
+    StateSource src(sink.bytes());
+    ASSERT_TRUE(restored.loadWarmState(src));
+    EXPECT_EQ(restored.peek(0x1000), nullptr);
+    EXPECT_EQ(restored.peek(0x1040), nullptr);
+    ASSERT_NE(restored.peek(0x2000), nullptr);
+    StateSink again;
+    restored.saveWarmState(again);
+    EXPECT_EQ(again.bytes(), sink.bytes());
+}
+
+TEST(Cache, WarmStateRejectsTagsWithLowBitsSet)
+{
+    // A tag is a line address; one with offset bits set is malformed
+    // (and would alias the tag array's valid bit).
+    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    StateSink sink;
+    c.saveWarmState(sink);
+    std::string bytes = sink.bytes();
+    bytes[4 + 8] = 1; // first line's tag: 0x0 -> 0x1
+    Cache restored("t", tinyGeom(), ReplKind::Lru, 1);
+    StateSource src(bytes);
+    EXPECT_FALSE(restored.loadWarmState(src));
+}
+
 /** Property: a cache never holds two copies of one line. */
 TEST(CacheProperty, NoDuplicateLines)
 {

@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests for the common utilities: bit helpers, RNG, saturating
- * counters, histograms, stats helpers, issue calendar and SimConfig
+ * counters, histograms, stats helpers, issue calendar, the busy
+ * timeline (differentially against the ring it replaced) and SimConfig
  * validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/env.hh"
@@ -186,6 +189,141 @@ TEST(IssueCalendar, WindowSlides)
     EXPECT_GE(c, 1000u - 64u);
 }
 
+/**
+ * The single-port ring BusyTimeline replaced for DRAM banks and buses,
+ * kept as the differential reference: any window size, `%` indexing,
+ * one cycle probed per step.
+ */
+class RingReference
+{
+  public:
+    explicit RingReference(uint32_t window) : slots_(window, 0) {}
+
+    Cycle
+    schedule(Cycle desired, uint32_t slots)
+    {
+        const size_t w = slots_.size();
+        if (desired > maxSeen_)
+            maxSeen_ = desired;
+        Cycle floor = maxSeen_ >= w ? maxSeen_ - w + 1 : 0;
+        Cycle c = desired < floor ? floor : desired;
+        uint32_t remaining = slots;
+        Cycle start = c;
+        while (true) {
+            if (c > maxSeen_)
+                maxSeen_ = c;
+            uint64_t &slot = slots_[c % w];
+            bool used = (slot >> 8) == c && (slot & 0xff) != 0;
+            if (used) {
+                if (remaining == slots)
+                    start = c + 1;
+                ++c;
+                continue;
+            }
+            uint32_t take = remaining ? 1 : 0;
+            slot = (c << 8) | take;
+            remaining -= take;
+            if (remaining == 0)
+                return start;
+            ++c;
+        }
+    }
+
+  private:
+    std::vector<uint64_t> slots_;
+    Cycle maxSeen_ = 0;
+};
+
+TEST(BusyTimeline, MatchesTheSinglePortRingOnRandomSequences)
+{
+    // 250 sequences x 4000 calls: windows 16..16384 (powers of two and
+    // not), 1..90 slots at or above the timeline's min_slots (a few
+    // zero-slot probes too), and requests that append in order, land
+    // near the recent past or future, jump far ahead of everything, or
+    // fall below the window floor.
+    Rng rng(20240611);
+    uint64_t calls = 0;
+    for (int seq = 0; seq < 250; ++seq) {
+        uint32_t window = rng.percent(30)
+                              ? 16u << rng.below(11)
+                              : static_cast<uint32_t>(rng.range(16, 16384));
+        uint32_t min_slots =
+            rng.percent(50) ? 1u : static_cast<uint32_t>(rng.range(2, 40));
+        BusyTimeline timeline(window, min_slots);
+        RingReference ring(window);
+        Cycle now = rng.below(1000);
+        for (int i = 0; i < 4000; ++i, ++calls) {
+            uint32_t slots;
+            if (rng.percent(1))
+                slots = 0;
+            else if (rng.percent(50))
+                slots = static_cast<uint32_t>(rng.range(min_slots, 90));
+            else
+                slots = std::max(rng.percent(50) ? 80u : 11u, min_slots);
+            Cycle desired;
+            uint64_t kind = rng.below(100);
+            if (kind < 45)
+                desired = now; // in order
+            else if (kind < 75)
+                desired = now + rng.below(256); // near future
+            else if (kind < 90)
+                desired = now > 512 ? now - rng.below(512) : now; // near past
+            else if (kind < 95)
+                desired = now + window + rng.below(4ull * window); // far
+            else
+                desired = rng.below(now + 1); // often below the floor
+            ASSERT_EQ(timeline.schedule(desired, slots),
+                      ring.schedule(desired, slots))
+                << "sequence " << seq << " call " << i << " window "
+                << window << " desired " << desired << " slots " << slots;
+            if (desired > now)
+                now = desired;
+            now += rng.below(40);
+        }
+    }
+    EXPECT_GE(calls, 1000000u);
+}
+
+TEST(BusyTimeline, TightestPackingFitsTheReservedSpans)
+{
+    // Reservations of exactly min_slots cycles, one idle cycle apart,
+    // leave the most spans a window can hold; the storage sized from
+    // min_slots must take them (an overflow asserts). Requests landing
+    // on the gaps inside the window, newest first, then split across
+    // them and merge spans. Odd and even windows, against the ring.
+    for (uint32_t window : {16u, 17u, 255u, 256u, 16384u}) {
+        for (uint32_t m : {1u, 11u, 80u}) {
+            BusyTimeline timeline(window, m);
+            RingReference ring(window);
+            const Cycle step = m + 1;
+            const Cycle top = 4ull * window;
+            for (Cycle c = 0; c < top; c += step)
+                ASSERT_EQ(timeline.schedule(c, m), ring.schedule(c, m));
+            for (Cycle c = top; c-- > top - window / 2;) {
+                if (c % step == m) {
+                    ASSERT_EQ(timeline.schedule(c, m), ring.schedule(c, m));
+                }
+            }
+            for (Cycle c = top - window; c < top + 3000; c += 3)
+                ASSERT_EQ(timeline.schedule(c, m + 1),
+                          ring.schedule(c, m + 1));
+        }
+    }
+}
+
+TEST(BusyTimeline, SplitOccupancyAndFloorClamp)
+{
+    BusyTimeline t(64);
+    EXPECT_EQ(t.schedule(10, 2), 10u); // busy 10, 11
+    EXPECT_EQ(t.schedule(14, 1), 14u); // busy 14
+    // Starts at the first free cycle and takes 12, 13, then 15.
+    EXPECT_EQ(t.schedule(10, 3), 12u);
+    EXPECT_EQ(t.schedule(10, 1), 16u);
+    EXPECT_EQ(t.schedule(1000, 1), 1000u);
+    // Below the floor (1000 - 64 + 1): clamped up to it.
+    EXPECT_EQ(t.schedule(5, 1), 937u);
+}
+
 TEST(SimConfig, DefaultsValidate)
 {
     SimConfig cfg;
@@ -212,6 +350,69 @@ TEST(SimConfig, EnableCatchTurnsEverythingOn)
     EXPECT_TRUE(cfg.criticality.enabled);
     EXPECT_TRUE(cfg.tact.cross && cfg.tact.deepSelf && cfg.tact.feeder &&
                 cfg.tact.code);
+    EXPECT_TRUE(cfg.validate().ok());
+}
+
+/** One rule of SimConfig::validate: @p mutate must make it fail. */
+template <typename F>
+void
+expectConfigError(F mutate)
+{
+    SimConfig cfg;
+    mutate(cfg);
+    auto v = cfg.validate();
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.error().category, ErrorCategory::Config);
+}
+
+TEST(SimConfig, RejectsZeroIssuePorts)
+{
+    // A zero-port class never finds a free issue slot.
+    expectConfigError([](SimConfig &c) { c.aluPorts = 0; });
+    expectConfigError([](SimConfig &c) { c.loadPorts = 0; });
+    expectConfigError([](SimConfig &c) { c.storePorts = 0; });
+    expectConfigError([](SimConfig &c) { c.fpPorts = 0; });
+}
+
+TEST(SimConfig, RejectsIssuePortsBeyondThePackedCount)
+{
+    // The calendar packs a cycle's issue count into 8 bits.
+    expectConfigError([](SimConfig &c) { c.aluPorts = 256; });
+    expectConfigError([](SimConfig &c) { c.loadPorts = 256; });
+    expectConfigError([](SimConfig &c) { c.storePorts = 1000; });
+    expectConfigError([](SimConfig &c) { c.fpPorts = 256; });
+    SimConfig cfg;
+    cfg.aluPorts = 255;
+    EXPECT_TRUE(cfg.validate().ok());
+}
+
+TEST(SimConfig, RejectsZeroRefreshInterval)
+{
+    expectConfigError([](SimConfig &c) { c.dram.tRefi = 0; });
+}
+
+TEST(SimConfig, RejectsRefreshLongerThanItsInterval)
+{
+    expectConfigError([](SimConfig &c) { c.dram.tRfc = c.dram.tRefi; });
+    expectConfigError([](SimConfig &c) {
+        c.dram.tRefi = 100;
+        c.dram.tRfc = 500;
+    });
+}
+
+TEST(SimConfig, RejectsZeroWriteDrainBatch)
+{
+    // A forced drain of zero writes lets the queue outgrow its reserve.
+    expectConfigError([](SimConfig &c) { c.dram.writeDrainBatch = 0; });
+}
+
+TEST(SimConfig, RejectsWatermarkAboveWriteQueueDepth)
+{
+    expectConfigError([](SimConfig &c) {
+        c.dram.writeDrainWatermark = c.dram.writeQueueDepth + 1;
+    });
+    SimConfig cfg;
+    cfg.dram.writeDrainWatermark = cfg.dram.writeQueueDepth;
     EXPECT_TRUE(cfg.validate().ok());
 }
 

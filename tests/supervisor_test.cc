@@ -426,6 +426,27 @@ TEST(Supervisor, UnknownWorkloadFailsInItsSlot)
     EXPECT_EQ(out[0].failure->error.category, ErrorCategory::Config);
 }
 
+TEST(Supervisor, DegenerateConfigFromTheFrameFailsInItsSlot)
+{
+    // The config reaches the worker as frame JSON; a zero-port class
+    // (whose issue calendar would never find a slot) or a zero refresh
+    // interval must come back as a contained config failure, not a
+    // worker that spins until the heartbeat watchdog kills it.
+    SimConfig zero_ports = baselineSkx();
+    zero_ports.loadPorts = 0;
+    SimConfig zero_refi = baselineSkx();
+    zero_refi.dram.tRefi = 0;
+    for (const SimConfig &cfg : {zero_ports, zero_refi}) {
+        const uint64_t spawned = workerSpawnCount();
+        auto out = runWorkloadsSupervised(cfg, {"mcf"}, kInstr, kWarm, 1,
+                                          fastOpts());
+        EXPECT_EQ(workerSpawnCount() - spawned, 1u);
+        ASSERT_FALSE(out[0].ok());
+        EXPECT_EQ(out[0].status, RunStatus::Failed);
+        EXPECT_EQ(out[0].failure->error.category, ErrorCategory::Config);
+    }
+}
+
 // ---------------------- persistent workers -----------------------
 
 /** Worker processes forked while @p body runs. */

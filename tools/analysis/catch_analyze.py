@@ -19,8 +19,8 @@ contracts:
       Nothing reachable from the functional-warming entry points
       (FastForward::warm, CacheHierarchy::warmAccess) mutates a stats
       object or calls into the timing model (Dram::*,
-      IssueCalendar::*, OooCore::*). This turns the PR 5 "stats-free
-      contract" test into a static guarantee.
+      IssueCalendar::*, BusyTimeline::*, OooCore::*). This turns the
+      PR 5 "stats-free contract" test into a static guarantee.
   snapshot-hot-path
       No warmed-state serialization (any saveWarmState/loadWarmState,
       or the page-image half: snapshotPages/restorePages/savePages/
@@ -139,7 +139,8 @@ WARM_ENTRY_POINTS = (
     "CacheHierarchy::warmAccess",
 )
 # The timing model, off-limits from the warming path.
-TIMING_MODEL_RE = re.compile(r"^(Dram|IssueCalendar|OooCore)::")
+TIMING_MODEL_RE = re.compile(
+    r"^(Dram|IssueCalendar|BusyTimeline|OooCore)::")
 
 # Warmed-state serialization, off-limits from the per-cycle path. The
 # page-image half of a snapshot travels through snapshotPages/
