@@ -42,6 +42,7 @@
 #include <variant>
 
 #include "common/logging.hh"
+#include "common/schema.hh"
 
 namespace catchsim
 {
@@ -75,18 +76,18 @@ errorCategoryName(ErrorCategory c)
     return "internal";
 }
 
-/** Parses a wire name back into a category (journal replay). */
-inline std::optional<ErrorCategory>
-errorCategoryFromName(const std::string &name)
+/** Categories export by wire name (common/schema.hh); enumFromName
+ *  parses one back. */
+constexpr const char *
+enumName(ErrorCategory c)
 {
-    for (ErrorCategory c :
-         {ErrorCategory::Config, ErrorCategory::TraceCorrupt,
-          ErrorCategory::IoTransient, ErrorCategory::BudgetExceeded,
-          ErrorCategory::Internal, ErrorCategory::Crashed,
-          ErrorCategory::HeartbeatTimeout, ErrorCategory::ExecFail})
-        if (name == errorCategoryName(c))
-            return c;
-    return std::nullopt;
+    return errorCategoryName(c);
+}
+
+constexpr uint64_t
+enumMax(ErrorCategory)
+{
+    return static_cast<uint64_t>(ErrorCategory::ExecFail);
 }
 
 /** A recoverable failure: category for policy, message for humans. */
@@ -98,6 +99,15 @@ struct SimError
     /** True when the isolation layer may retry the operation. */
     bool transient() const { return category == ErrorCategory::IoTransient; }
 };
+
+/** The "error" object of result frames, journal records and exports. */
+template <FieldsOf<SimError> E, typename V>
+void
+forEachField(E &e, V &v)
+{
+    v.field("category", e.category);
+    v.field("message", e.message);
+}
 
 /** Builds a SimError with a concatenated message, printf-free. */
 template <typename... Args>

@@ -1,6 +1,8 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace catchsim
@@ -240,9 +242,14 @@ class JsonParser
         out.kind_ = JsonValue::Kind::Number;
         char *end = nullptr;
         if (integral) {
-            out.isInt_ = true;
+            // Past 2^64-1 the token is still a JSON number, but only
+            // its double view is exact enough to keep.
+            errno = 0;
             out.u64_ = std::strtoull(token.c_str(), &end, 10);
-        } else {
+            out.isInt_ = errno != ERANGE;
+        }
+        if (!out.isInt_) {
+            out.u64_ = 0;
             out.d_ = std::strtod(token.c_str(), &end);
         }
         if (!end || *end != '\0')
@@ -261,6 +268,82 @@ Expected<JsonValue>
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+JsonReader::JsonReader(const JsonValue &doc, ErrorCategory category,
+                       const char *what)
+    : category_(category), what_(what)
+{
+    if (doc.isObject())
+        stack_.push_back(&doc);
+    else
+        fail(what_, " is not an object");
+}
+
+void
+JsonReader::object(const char *name)
+{
+    stack_.push_back(fetch(name, JsonValue::Kind::Object));
+}
+
+bool
+JsonReader::object(const char *name, bool &present)
+{
+    present = !stack_.empty() && stack_.back() &&
+              stack_.back()->member(name) != nullptr;
+    if (present)
+        object(name);
+    return present;
+}
+
+void
+JsonReader::close()
+{
+    if (!stack_.empty())
+        stack_.pop_back();
+}
+
+const JsonValue *
+JsonReader::raw(const char *name, JsonValue::Kind kind)
+{
+    return fetch(name, kind);
+}
+
+const JsonValue *
+JsonReader::fetch(const char *name, JsonValue::Kind kind)
+{
+    if (err_ || stack_.empty() || !stack_.back())
+        return nullptr;
+    const JsonValue *m = stack_.back()->member(name);
+    if (!m || m->kind() != kind) {
+        fail(m ? "wrong-kind" : "missing", " field '", name, "' in ",
+             what_);
+        return nullptr;
+    }
+    return m;
+}
+
+bool
+JsonReader::integer(const char *name, const JsonValue &m, uint64_t max,
+                    uint64_t &out)
+{
+    if (!m.isU64() || m.asU64() > max) {
+        fail("field '", name, "' is not an integer in 0..", max, " in ",
+             what_);
+        return false;
+    }
+    out = m.asU64();
+    return true;
+}
+
+bool
+JsonReader::finite(const char *name, const JsonValue &m)
+{
+    if (!std::isfinite(m.asDouble())) {
+        fail("field '", name, "' is not a finite number in ", what_);
+        return false;
+    }
+    return true;
 }
 
 } // namespace catchsim

@@ -1,5 +1,7 @@
 #include "common/sim_config.hh"
 
+#include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/bitutil.hh"
@@ -48,6 +50,8 @@ namespace
 Expected<void>
 checkGeometry(const char *name, const CacheGeometry &g)
 {
+    if (g.ways == 0)
+        return simError(ErrorCategory::Config, name, ": zero ways");
     if (g.sizeBytes % (kLineBytes * g.ways) != 0)
         return simError(ErrorCategory::Config, name,
                         ": size not divisible into ways*lines");
@@ -60,6 +64,41 @@ checkGeometry(const char *name, const CacheGeometry &g)
     return {};
 }
 
+/** DDG rows buffered or walked: factor x ROB, cast to u32. */
+Expected<void>
+checkDdgRows(const char *name, double factor, uint32_t rob_size)
+{
+    const double rows = factor * rob_size;
+    if (!std::isfinite(factor) || !(rows >= 1) || rows > UINT32_MAX)
+        return simError(ErrorCategory::Config, "criticality ", name, " (",
+                        factor, ") x robSize must be 1..2^32-1 rows");
+    return {};
+}
+
+Expected<void>
+checkCriticality(const CriticalityConfig &c, uint32_t rob_size)
+{
+    if (c.tableWays == 0 || c.tableEntries % c.tableWays != 0 ||
+        !isPowerOfTwo(c.tableEntries / c.tableWays))
+        return simError(ErrorCategory::Config,
+                        "critical-load table needs ways dividing its "
+                        "entries into power-of-two sets");
+    if (c.confidenceBits >= 32 || c.latencyQuantShift >= 64)
+        return simError(ErrorCategory::Config,
+                        "confidenceBits must be < 32 and "
+                        "latencyQuantShift < 64");
+    if (auto e = checkDdgRows("walkFactor", c.walkFactor, rob_size);
+        !e.ok())
+        return e;
+    if (auto e = checkDdgRows("graphFactor", c.graphFactor, rob_size);
+        !e.ok())
+        return e;
+    if (c.graphFactor < c.walkFactor)
+        return simError(ErrorCategory::Config,
+                        "DDG buffer must be at least as deep as the walk");
+    return {};
+}
+
 } // namespace
 
 Expected<void>
@@ -68,9 +107,6 @@ SimConfig::validate() const
     if (width == 0 || robSize < 2 * width)
         return simError(ErrorCategory::Config,
                         "core width/ROB configuration is degenerate");
-    if (numArchRegs < 4 || numArchRegs > 64)
-        return simError(ErrorCategory::Config,
-                        "numArchRegs out of supported range");
     if (auto e = checkGeometry("l1i", l1i); !e.ok())
         return e;
     if (auto e = checkGeometry("l1d", l1d); !e.ok())
@@ -86,9 +122,15 @@ SimConfig::validate() const
     if (numCores == 0 || numCores > 16)
         return simError(ErrorCategory::Config,
                         "numCores out of supported range");
-    if (criticality.graphFactor < criticality.walkFactor)
+    if (auto e = checkCriticality(criticality, robSize); !e.ok())
+        return e;
+    if (!isPowerOfTwo(tact.triggerCacheSets) || tact.triggerCacheWays == 0)
         return simError(ErrorCategory::Config,
-                        "DDG buffer must be at least as deep as the walk");
+                        "TACT trigger cache needs power-of-two sets and "
+                        "at least one way");
+    if (storeQueueSize == 0)
+        return simError(ErrorCategory::Config,
+                        "storeQueueSize must be non-zero");
     if (tact.any() && !criticality.enabled)
         return simError(ErrorCategory::Config,
                         "TACT prefetchers require criticality detection");
@@ -104,6 +146,9 @@ SimConfig::validate() const
     if (!isPowerOfTwo(dram.channels) || !isPowerOfTwo(dram.banksPerRank))
         return simError(ErrorCategory::Config,
                         "DRAM channels/banks must be powers of two");
+    if (dram.ranksPerChannel == 0 || dram.rowBytes == 0)
+        return simError(ErrorCategory::Config,
+                        "DRAM ranks and row size must be non-zero");
     if (dram.tRfc >= dram.tRefi)
         return simError(ErrorCategory::Config,
                         "DRAM refresh needs tRfc < tRefi (tRfc ", dram.tRfc,

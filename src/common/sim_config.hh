@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/error.hh"
+#include "common/schema.hh"
 #include "common/types.hh"
 
 namespace catchsim
@@ -37,6 +38,11 @@ enum class InclusionPolicy : uint8_t
     Inclusive, ///< LLC back-invalidates inner copies on eviction (client)
     Nine,      ///< non-inclusive non-exclusive (used for the no-L2 configs)
 };
+constexpr uint64_t
+enumMax(InclusionPolicy)
+{
+    return static_cast<uint64_t>(InclusionPolicy::Nine);
+}
 
 /** Oracle knob: demote hits at one level to the next level's latency. */
 enum class DemoteMode : uint8_t
@@ -49,6 +55,11 @@ enum class DemoteMode : uint8_t
     LlcToMemAll,
     LlcToMemNonCrit,
 };
+constexpr uint64_t
+enumMax(DemoteMode)
+{
+    return static_cast<uint64_t>(DemoteMode::LlcToMemNonCrit);
+}
 
 /** DDR4 channel/rank/bank organisation and timing (in core cycles). */
 struct DramConfig
@@ -83,6 +94,11 @@ enum class DetectorKind : uint8_t
     Ddg,       ///< the paper's buffered data-dependency graph
     Heuristic, ///< Tune/Subramaniam-style heuristics (for comparison)
 };
+constexpr uint64_t
+enumMax(DetectorKind)
+{
+    return static_cast<uint64_t>(DetectorKind::Heuristic);
+}
 
 /** Criticality-detection hardware parameters (Section IV-A of the paper). */
 struct CriticalityConfig
@@ -137,6 +153,11 @@ enum class SampleMode : uint8_t
     Detailed, ///< every instruction through the OoO core (paper figures)
     Sampled,  ///< functional warming + periodic detailed windows
 };
+constexpr uint64_t
+enumMax(SampleMode)
+{
+    return static_cast<uint64_t>(SampleMode::Sampled);
+}
 
 /**
  * Sampled-simulation schedule. Each period of @ref intervalInstrs
@@ -193,7 +214,6 @@ struct SimConfig
     uint32_t robSize = 224;
     uint32_t renameLat = 2;    ///< D-to-E edge weight
     uint32_t redirectLat = 14; ///< branch mispredict fetch redirect
-    uint32_t numArchRegs = 16;
     uint32_t storeQueueSize = 56;
     uint32_t fwdLatency = 5;   ///< store-to-load forwarding latency
     uint32_t aluPorts = 3;
@@ -233,6 +253,154 @@ struct SimConfig
      *  violation. Library code never terminates on a bad config. */
     Expected<void> validate() const;
 };
+
+// --- field schemas (common/schema.hh) ----------------------------------
+//
+// Each knob is named once below, with its JSON key; the JSON layout is
+// configToJson's (sim/worker_proto.hh). WarmVisible marks every knob
+// that functional warming can observe: cache geometry (not latency),
+// the hierarchy shape, the replacement seed, the prefetchers,
+// criticality detection, TACT learning and the oracle knobs that
+// inject or suppress warm fills. warmConfigDigest hashes exactly
+// those; timing knobs stay out so timing resweeps share warmed-state
+// snapshots, and the warm-digest rule of tools/analysis/catch_analyze
+// checks that every config read on the warming path is tagged.
+
+template <FieldsOf<CacheGeometry> G, typename V>
+void
+forEachField(G &g, V &v)
+{
+    using enum FieldTag;
+    v.field("size_bytes", g.sizeBytes, WarmVisible);
+    v.field("ways", g.ways, WarmVisible);
+    v.field("latency", g.latency);
+}
+
+template <FieldsOf<DramConfig> D, typename V>
+void
+forEachField(D &d, V &v)
+{
+    v.field("channels", d.channels);
+    v.field("ranks_per_channel", d.ranksPerChannel);
+    v.field("banks_per_rank", d.banksPerRank);
+    v.field("row_bytes", d.rowBytes);
+    v.field("t_cas", d.tCas);
+    v.field("t_rcd", d.tRcd);
+    v.field("t_rp", d.tRp);
+    v.field("t_ras", d.tRas);
+    v.field("burst_cycles", d.burstCycles);
+    v.field("controller_lat", d.controllerLat);
+    v.field("write_queue_depth", d.writeQueueDepth);
+    v.field("write_drain_watermark", d.writeDrainWatermark);
+    v.field("write_drain_batch", d.writeDrainBatch);
+    v.field("t_refi", d.tRefi);
+    v.field("t_rfc", d.tRfc);
+}
+
+template <FieldsOf<CriticalityConfig> C, typename V>
+void
+forEachField(C &c, V &v)
+{
+    using enum FieldTag;
+    v.field("enabled", c.enabled, WarmVisible);
+    v.field("kind", c.kind, WarmVisible);
+    v.field("table_entries", c.tableEntries, WarmVisible);
+    v.field("table_ways", c.tableWays, WarmVisible);
+    v.field("confidence_bits", c.confidenceBits, WarmVisible);
+    v.field("conf_reset_interval", c.confResetInterval, WarmVisible);
+    v.field("graph_factor", c.graphFactor, WarmVisible);
+    v.field("walk_factor", c.walkFactor, WarmVisible);
+    v.field("latency_quant_shift", c.latencyQuantShift, WarmVisible);
+    v.field("hashed_pc_bits", c.hashedPcBits, WarmVisible);
+}
+
+template <FieldsOf<TactConfig> T, typename V>
+void
+forEachField(T &t, V &v)
+{
+    using enum FieldTag;
+    v.field("cross", t.cross, WarmVisible);
+    v.field("deep_self", t.deepSelf, WarmVisible);
+    v.field("feeder", t.feeder, WarmVisible);
+    v.field("code", t.code, WarmVisible);
+    v.field("trigger_cache_sets", t.triggerCacheSets, WarmVisible);
+    v.field("trigger_cache_ways", t.triggerCacheWays, WarmVisible);
+    v.field("trigger_pcs_per_page", t.triggerPcsPerPage, WarmVisible);
+    v.field("cross_train_instances", t.crossTrainInstances, WarmVisible);
+    v.field("cross_candidate_wraps", t.crossCandidateWraps, WarmVisible);
+    v.field("deep_max_distance", t.deepMaxDistance, WarmVisible);
+    v.field("safe_length_cap", t.safeLengthCap, WarmVisible);
+    v.field("feeder_depth", t.feederDepth, WarmVisible);
+    v.field("code_runahead_lines", t.codeRunaheadLines, WarmVisible);
+}
+
+template <FieldsOf<OracleConfig> O, typename V>
+void
+forEachField(O &o, V &v)
+{
+    using enum FieldTag;
+    // The latency adders and demotion are timing-only.
+    v.field("lat_add_l1", o.latAddL1);
+    v.field("lat_add_l2", o.latAddL2);
+    v.field("lat_add_llc", o.latAddLlc);
+    v.field("demote", o.demote);
+    v.field("oracle_prefetch", o.oraclePrefetch, WarmVisible);
+    v.field("oracle_prefetch_pc_limit", o.oraclePrefetchPcLimit,
+            WarmVisible);
+    v.field("oracle_code_in_l1", o.oracleCodeInL1, WarmVisible);
+}
+
+/** The schedule knobs; sampleScheduleDigest hashes all of them. */
+template <FieldsOf<SamplingConfig> S, typename V>
+void
+forEachField(S &s, V &v)
+{
+    v.field("mode", s.mode);
+    v.field("interval_instrs", s.intervalInstrs);
+    v.field("window_instrs", s.windowInstrs);
+    v.field("warmup_instrs", s.warmupInstrs);
+}
+
+template <FieldsOf<SimConfig> C, typename V>
+void
+forEachField(C &c, V &v)
+{
+    using enum FieldTag;
+    v.field("name", c.name, Label);
+
+    v.object("core");
+    v.field("width", c.width);
+    v.field("rob_size", c.robSize);
+    v.field("rename_lat", c.renameLat);
+    v.field("redirect_lat", c.redirectLat);
+    v.field("store_queue_size", c.storeQueueSize);
+    v.field("fwd_latency", c.fwdLatency);
+    v.field("alu_ports", c.aluPorts);
+    v.field("load_ports", c.loadPorts);
+    v.field("store_ports", c.storePorts);
+    v.field("fp_ports", c.fpPorts);
+    v.close();
+
+    v.field("has_l2", c.hasL2, WarmVisible);
+    v.field("inclusion", c.inclusion, WarmVisible);
+    fieldObject(v, "l1i", c.l1i);
+    fieldObject(v, "l1d", c.l1d);
+    fieldObject(v, "l2", c.l2);
+    fieldObject(v, "llc", c.llc);
+    v.field("l1_stride_prefetcher", c.l1StridePrefetcher, WarmVisible);
+    v.field("l2_stream_prefetcher", c.l2StreamPrefetcher, WarmVisible);
+    v.field("stream_degree", c.streamDegree, WarmVisible);
+
+    fieldObject(v, "dram", c.dram);
+    fieldObject(v, "criticality", c.criticality);
+    fieldObject(v, "tact", c.tact);
+    fieldObject(v, "oracle", c.oracle);
+    fieldObject(v, "sampling", c.sampling);
+
+    v.field("num_cores", c.numCores, WarmVisible);
+    // Seeds the replacement RNGs, so warming sees it.
+    v.field("seed", c.seed, WarmVisible);
+}
 
 } // namespace catchsim
 

@@ -13,7 +13,7 @@ OooCore::OooCore(const SimConfig &cfg, CoreId core,
                  CriticalityDetector *detector, Tact *tact)
     : cfg_(cfg), core_(core), hierarchy_(hierarchy), detector_(detector),
       tact_(tact), frontend_(cfg, core, hierarchy, tact),
-      regReady_(cfg.numArchRegs, 0), regProducer_(cfg.numArchRegs, 0),
+      regReady_(kNumArchRegs, 0), regProducer_(kNumArchRegs, 0),
       robRetire_(cfg.robSize, 0), aluPorts_(cfg.aluPorts),
       loadPorts_(cfg.loadPorts), storePorts_(cfg.storePorts),
       fpPorts_(cfg.fpPorts), storeQueue_(cfg.storeQueueSize)

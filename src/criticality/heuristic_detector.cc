@@ -4,11 +4,9 @@ namespace catchsim
 {
 
 HeuristicCriticalityDetector::HeuristicCriticalityDetector(
-    const CriticalityConfig &cfg, uint32_t num_arch_regs_upper,
-    uint32_t rob_stall_threshold)
+    const CriticalityConfig &cfg, uint32_t rob_stall_threshold)
     : table_(cfg), recent_(1024), robStallThreshold_(rob_stall_threshold)
 {
-    (void)num_arch_regs_upper;
 }
 
 void

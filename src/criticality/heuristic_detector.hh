@@ -43,9 +43,8 @@ class HeuristicCriticalityDetector : public CriticalityDetector
      * @param rob_stall_threshold cycles an instruction may sit completed
      *        behind the retirement point before its load is flagged
      */
-    HeuristicCriticalityDetector(const CriticalityConfig &cfg,
-                                 uint32_t num_arch_regs_upper = 64,
-                                 uint32_t rob_stall_threshold = 12);
+    explicit HeuristicCriticalityDetector(
+        const CriticalityConfig &cfg, uint32_t rob_stall_threshold = 12);
 
     /** Consumes the same retirement records as the DDG detector. */
     void onRetire(const RetireInfo &ri) override;

@@ -75,28 +75,23 @@ SuiteJournal::parseRecord(const std::string &line,
              parsed.error().message, ")");
         return std::nullopt;
     }
-    const JsonValue &v = parsed.value();
-    const JsonValue *config = v.member("config");
-    const JsonValue *workload = v.member("workload");
-    const JsonValue *instrs = v.member("instrs");
-    const JsonValue *warmup = v.member("warmup");
-    const JsonValue *status = v.member("status");
-    if (!config || !workload || !instrs || !warmup || !status) {
-        warn("journal '", path, "' line ", lineno,
-             ": skipping record with missing keys");
-        return std::nullopt;
-    }
-    auto st = runStatusFromName(status->asString());
-    if (!st) {
-        warn("journal '", path, "' line ", lineno,
-             ": skipping record with unknown status '",
-             status->asString(), "'");
+    JsonReader r(parsed.value(), ErrorCategory::TraceCorrupt,
+                 "journal record");
+    SuiteJournal::Entry e;
+    r.field("config", e.config);
+    r.field("workload", e.workload);
+    r.field("instrs", e.instrs);
+    r.field("warmup", e.warmup);
+    r.field("status", e.status);
+    if (r.error()) {
+        warn("journal '", path, "' line ", lineno, ": skipping record (",
+             r.error()->message, ")");
         return std::nullopt;
     }
     // Failure records document history; only successes are resumable.
-    if (*st != RunStatus::Ok && *st != RunStatus::Retried)
+    if (e.status != RunStatus::Ok && e.status != RunStatus::Retried)
         return std::nullopt;
-    const JsonValue *result = v.member("result");
+    const JsonValue *result = r.raw("result", JsonValue::Kind::Object);
     if (!result) {
         warn("journal '", path, "' line ", lineno,
              ": skipping success record without a result");
@@ -109,12 +104,6 @@ SuiteJournal::parseRecord(const std::string &line,
              sim.error().message, ")");
         return std::nullopt;
     }
-    SuiteJournal::Entry e;
-    e.config = config->asString();
-    e.workload = workload->asString();
-    e.instrs = instrs->asU64();
-    e.warmup = warmup->asU64();
-    e.status = *st;
     e.result = std::move(sim).value();
     return e;
 }
@@ -146,16 +135,12 @@ SuiteJournal::append(const RunOutcome &out, uint64_t instrs,
     w.field("workload", out.workload);
     w.field("instrs", instrs);
     w.field("warmup", warmup);
-    w.field("status", std::string(runStatusName(out.status)));
-    w.field("attempts", uint64_t(out.attempts));
+    w.field("status", out.status);
+    w.field("attempts", out.attempts);
     if (out.ok()) {
         w.rawField("result", out.result.toJson());
     } else {
-        w.object("error");
-        w.field("category",
-                std::string(errorCategoryName(out.failure->error.category)));
-        w.field("message", out.failure->error.message);
-        w.close();
+        fieldObject(w, "error", out.failure->error);
     }
     w.close();
 

@@ -44,17 +44,6 @@ runStatusName(RunStatus s)
     return "?";
 }
 
-std::optional<RunStatus>
-runStatusFromName(const std::string &name)
-{
-    for (RunStatus s : {RunStatus::Ok, RunStatus::Retried,
-                        RunStatus::Failed, RunStatus::TimedOut,
-                        RunStatus::Crashed})
-        if (name == runStatusName(s))
-            return s;
-    return std::nullopt;
-}
-
 CampaignSummary
 summarizeOutcomes(const std::vector<RunOutcome> &outcomes)
 {

@@ -58,7 +58,15 @@ enum class RunStatus : uint8_t
 };
 
 const char *runStatusName(RunStatus s);
-std::optional<RunStatus> runStatusFromName(const std::string &name);
+
+/** Statuses export by name (common/schema.hh). */
+inline const char *enumName(RunStatus s) { return runStatusName(s); }
+
+constexpr uint64_t
+enumMax(RunStatus)
+{
+    return static_cast<uint64_t>(RunStatus::Crashed);
+}
 
 /** Structured record of a run that did not produce a result. */
 struct RunFailure

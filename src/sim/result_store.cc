@@ -115,37 +115,28 @@ ResultStore::find(const RunKey &key)
     auto parsed = parseJson(record);
     if (!parsed.ok())
         return miss("unparsable record");
-    const JsonValue &v = parsed.value();
-    const JsonValue *workload = v.member("workload");
-    const JsonValue *seed = v.member("workload_seed");
-    const JsonValue *digest = v.member("config_digest");
-    const JsonValue *instrs = v.member("instrs");
-    const JsonValue *warmup = v.member("warmup");
-    const JsonValue *status = v.member("status");
-    const JsonValue *attempts = v.member("attempts");
-    const JsonValue *result = v.member("result");
-    if (!workload || !seed || !digest || !instrs || !warmup ||
-        !status || !attempts || !result)
-        return miss("record with missing keys");
+    JsonReader r(parsed.value(), ErrorCategory::TraceCorrupt,
+                 "result-store record");
+    RunKey stored;
+    RunOutcome out;
+    forEachField(stored, r);
+    r.field("status", out.status);
+    r.field("attempts", out.attempts);
+    const JsonValue *result = r.raw("result", JsonValue::Kind::Object);
+    if (r.error())
+        return miss("record with missing or malformed keys");
     // Hash-collision / stale-rename guard: the record must describe
     // exactly the key that was asked for.
-    if (workload->asString() != key.workload ||
-        seed->asU64() != key.workloadSeed ||
-        digest->asU64() != key.configDigest ||
-        instrs->asU64() != key.instrs || warmup->asU64() != key.warmup)
+    if (!(stored == key))
         return miss("record for a different key (hash collision?)");
-    auto st = runStatusFromName(status->asString());
-    if (!st || (*st != RunStatus::Ok && *st != RunStatus::Retried))
+    if (!out.ok())
         return miss("record with a non-success status");
     auto sim = SimResult::fromJson(*result);
     if (!sim.ok())
         return miss("record with a corrupt result payload");
 
-    RunOutcome out;
     out.workload = key.workload;
-    out.status = *st;
-    out.attempts = static_cast<unsigned>(
-        std::max<uint64_t>(1, attempts->asU64()));
+    out.attempts = std::max(1u, out.attempts);
     out.fromStore = true;
     out.result = std::move(sim).value();
     std::lock_guard<std::mutex> guard(mu_);
@@ -159,13 +150,9 @@ ResultStore::put(const RunKey &key, const RunOutcome &out)
     CATCHSIM_ASSERT(out.ok(), "only successful outcomes are stored");
     JsonWriter w;
     w.open();
-    w.field("workload", key.workload);
-    w.field("workload_seed", key.workloadSeed);
-    w.field("config_digest", key.configDigest);
-    w.field("instrs", key.instrs);
-    w.field("warmup", key.warmup);
-    w.field("status", std::string(runStatusName(out.status)));
-    w.field("attempts", uint64_t(out.attempts));
+    forEachField(key, w);
+    w.field("status", out.status);
+    w.field("attempts", out.attempts);
     w.rawField("result", out.result.toJson());
     w.close();
 

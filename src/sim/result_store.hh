@@ -54,7 +54,21 @@ struct RunKey
      * bump invalidates the whole store, exactly like the chunk store.
      */
     uint64_t hash() const;
+
+    bool operator==(const RunKey &) const = default;
 };
+
+/** The key fields of a store record (common/schema.hh). */
+template <FieldsOf<RunKey> K, typename V>
+void
+forEachField(K &k, V &v)
+{
+    v.field("workload", k.workload);
+    v.field("workload_seed", k.workloadSeed);
+    v.field("config_digest", k.configDigest);
+    v.field("instrs", k.instrs);
+    v.field("warmup", k.warmup);
+}
 
 class ResultStore
 {

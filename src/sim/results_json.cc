@@ -5,12 +5,13 @@
  * machine-readable per-workload stats next to their stdout tables
  * (CATCH_JSON env knob).
  *
+ * Both directions derive from one field schema, forEachField below:
  * toJson() covers every counter SimResult carries and fromJson() parses
  * it back bitwise-exactly (exact u64, %.17g doubles); the suite journal
- * rests on this round trip. Suite documents are written atomically:
- * the full document goes to <path>.tmp, which is renamed over <path>
- * only after a verified complete write — a crashed export never leaves
- * a half-written file behind.
+ * and the result store rest on this round trip. Suite documents are
+ * written atomically: the full document goes to <path>.tmp, which is
+ * renamed over <path> only after a verified complete write — a crashed
+ * export never leaves a half-written file behind.
  */
 
 #include <cstdio>
@@ -26,267 +27,166 @@
 namespace catchsim
 {
 
-namespace
-{
+// The export schemas live outside the anonymous namespace so that
+// fieldObject (common/schema.hh) finds them by argument-dependent lookup.
 
+template <FieldsOf<CacheStats> S, typename V>
 void
-cacheJson(JsonWriter &w, const char *name, const CacheStats &s)
+forEachField(S &s, V &v)
 {
-    w.object(name);
-    w.field("accesses", s.demandAccesses);
-    w.field("hits", s.demandHits);
-    w.field("hit_rate", s.hitRate());
-    w.field("fills", s.fills);
-    w.field("evictions", s.evictions);
-    w.field("dirty_evictions", s.dirtyEvictions);
-    w.field("invalidations", s.invalidations);
-    w.field("useless_prefetch_evictions", s.uselessPrefetchEvictions);
-    w.field("read_ops", s.readOps);
-    w.field("write_ops", s.writeOps);
-    w.close();
+    v.field("accesses", s.demandAccesses);
+    v.field("hits", s.demandHits);
+    v.derived("hit_rate", s.hitRate());
+    v.field("fills", s.fills);
+    v.field("evictions", s.evictions);
+    v.field("dirty_evictions", s.dirtyEvictions);
+    v.field("invalidations", s.invalidations);
+    v.field("useless_prefetch_evictions", s.uselessPrefetchEvictions);
+    v.field("read_ops", s.readOps);
+    v.field("write_ops", s.writeOps);
 }
 
 /**
- * Checked member access over one parsed JSON object: the first missing
- * or wrong-kind field records a trace-corrupt SimError and every later
- * read becomes a no-op, so parse functions read straight-line.
+ * The SimResult export layout. Groups follow the paper's components,
+ * not the struct's members (the TACT group gathers counters the
+ * hierarchy keeps). "l2" is present only for hierarchies with an L2
+ * and "sampling" only for sampled runs, so detailed-mode documents
+ * stay byte-identical to pre-sampling exports, which the golden-hash
+ * tests pin.
  */
-class ObjectReader
-{
-  public:
-    ObjectReader(const JsonValue *obj, std::optional<SimError> &err)
-        : obj_(obj), err_(err)
-    {
-    }
-
-    ObjectReader
-    child(const char *name) const
-    {
-        return ObjectReader(fetch(name, JsonValue::Kind::Object), err_);
-    }
-
-    bool has(const char *name) const
-    {
-        return obj_ && obj_->member(name) != nullptr;
-    }
-
-    void
-    u64(const char *name, uint64_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU64();
-    }
-
-    void
-    u32(const char *name, uint32_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU32();
-    }
-
-    void
-    f64(const char *name, double &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asDouble();
-    }
-
-    void
-    str(const char *name, std::string &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::String))
-            dst = m->asString();
-    }
-
-    void
-    u64Array(const char *name, uint64_t *dst, size_t n) const
-    {
-        const JsonValue *m = fetch(name, JsonValue::Kind::Array);
-        if (!m)
-            return;
-        if (m->size() != n) {
-            err_ = simError(ErrorCategory::TraceCorrupt, "field '", name,
-                            "' has ", m->size(), " elements, expected ",
-                            n);
-            return;
-        }
-        for (size_t i = 0; i < n; ++i) {
-            const JsonValue *e = m->at(i);
-            if (!e || e->kind() != JsonValue::Kind::Number) {
-                err_ = simError(ErrorCategory::TraceCorrupt, "field '",
-                                name, "' element ", i,
-                                " is not a number");
-                return;
-            }
-            dst[i] = e->asU64();
-        }
-    }
-
-  private:
-    const JsonValue *
-    fetch(const char *name, JsonValue::Kind kind) const
-    {
-        if (err_ || !obj_)
-            return nullptr;
-        const JsonValue *m = obj_->member(name);
-        if (!m || m->kind() != kind) {
-            err_ = simError(ErrorCategory::TraceCorrupt,
-                            m ? "wrong-kind" : "missing", " field '",
-                            name, "' in SimResult JSON");
-            return nullptr;
-        }
-        return m;
-    }
-
-    const JsonValue *obj_;
-    std::optional<SimError> &err_;
-};
-
+template <FieldsOf<SimResult> R, typename V>
 void
-cacheFromJson(const ObjectReader &r, CacheStats &s)
+forEachField(R &r, V &v)
 {
-    r.u64("accesses", s.demandAccesses);
-    r.u64("hits", s.demandHits);
-    r.u64("fills", s.fills);
-    r.u64("evictions", s.evictions);
-    r.u64("dirty_evictions", s.dirtyEvictions);
-    r.u64("invalidations", s.invalidations);
-    r.u64("useless_prefetch_evictions", s.uselessPrefetchEvictions);
-    r.u64("read_ops", s.readOps);
-    r.u64("write_ops", s.writeOps);
-}
+    v.field("workload", r.workload);
+    v.field("config", r.config);
+    v.field("category", r.category);
+    v.field("ipc", r.ipc);
 
-} // namespace
+    v.object("core");
+    v.field("instrs", r.core.instrs);
+    v.field("cycles", r.core.cycles);
+    v.field("loads", r.core.loads);
+    v.field("stores", r.core.stores);
+    v.field("forwarded_loads", r.core.forwardedLoads);
+    v.field("branches", r.core.branch.branches);
+    v.field("branch_mispredicts", r.core.branch.mispredicts);
+    v.field("branch_direction_wrong", r.core.branch.directionWrong);
+    v.field("branch_target_wrong", r.core.branch.targetWrong);
+    v.close();
+
+    v.object("hierarchy");
+    v.field("loads", r.hier.loads);
+    v.field("load_hits_l1", r.hier.loadHits[0]);
+    v.field("load_hits_l2", r.hier.loadHits[1]);
+    v.field("load_hits_llc", r.hier.loadHits[2]);
+    v.field("load_hits_mem", r.hier.loadHits[3]);
+    v.field("total_load_latency", r.hier.totalLoadLatency);
+    v.field("total_l1_hit_latency", r.hier.totalL1HitLatency);
+    v.field("l1_hits_by_source", r.hier.l1HitsBySource);
+    v.field("l1_hit_wait_by_source", r.hier.l1HitWaitBySource);
+    v.field("store_accesses", r.hier.storeAccesses);
+    v.field("store_l1_misses", r.hier.storeL1Misses);
+    v.field("rfo_hits", r.hier.rfoHits);
+    v.field("code_fetches", r.hier.codeFetches);
+    v.field("code_hits", r.hier.codeHits);
+    v.field("demoted_loads", r.hier.demotedLoads);
+    v.field("oracle_converted", r.hier.oracleConverted);
+    v.field("ring_transfers", r.hier.ringTransfers);
+    v.field("mem_transfers", r.hier.memTransfers);
+    v.field("stride_pf_issued", r.hier.stridePfIssued);
+    v.field("stream_pf_issued", r.hier.streamPfIssued);
+    v.field("code_pf_issued", r.hier.codePfIssued);
+    v.close();
+
+    fieldObject(v, "l1d", r.l1d);
+    fieldObject(v, "l1i", r.l1i);
+    if (v.object("l2", r.hasL2)) {
+        forEachField(r.l2, v);
+        v.close();
+    }
+    fieldObject(v, "llc", r.llc);
+
+    v.object("dram");
+    v.field("reads", r.dram.reads);
+    v.field("writes", r.dram.writes);
+    v.field("activates", r.dram.activates);
+    v.field("row_hits", r.dram.rowHits);
+    v.field("row_misses", r.dram.rowMisses);
+    v.field("write_drains", r.dram.writeDrains);
+    v.field("refresh_stalls", r.dram.refreshStalls);
+    v.field("total_read_latency", r.dram.totalReadLatency);
+    v.field("total_bank_wait", r.dram.totalBankWait);
+    v.field("total_bus_wait", r.dram.totalBusWait);
+    v.derived("avg_read_latency", r.dram.avgReadLatency());
+    v.close();
+
+    v.object("frontend");
+    v.field("line_fetches", r.frontend.lineFetches);
+    v.field("code_stall_cycles", r.frontend.codeStallCycles);
+    v.field("redirects", r.frontend.redirects);
+    v.close();
+
+    v.object("criticality");
+    v.field("ddg_retired", r.ddg.retired);
+    v.field("ddg_walks", r.ddg.walks);
+    v.field("critical_loads_found", r.ddg.criticalLoadsFound);
+    v.field("ddg_recorded", r.ddg.recorded);
+    v.field("ddg_overflows", r.ddg.overflows);
+    v.field("table_recordings", r.criticalTable.recordings);
+    v.field("table_insertions", r.criticalTable.insertions);
+    v.field("table_evictions", r.criticalTable.evictions);
+    v.field("table_confidence_resets", r.criticalTable.confidenceResets);
+    v.field("table_queries", r.criticalTable.queries);
+    v.field("table_query_hits", r.criticalTable.queryHits);
+    v.field("active_critical_pcs", r.activeCriticalPcs);
+    v.close();
+
+    v.object("tact");
+    v.field("prefetches", r.hier.tactPrefetches);
+    v.field("cross_issued", r.tact.crossIssued);
+    v.field("deep_issued", r.tact.deepIssued);
+    v.field("feeder_issued", r.tact.feederIssued);
+    v.field("feeder_runaheads", r.tact.feederRunaheads);
+    v.field("code_stalls", r.tact.codeStalls);
+    v.field("code_lines", r.tact.codeLines);
+    v.field("useful_hits", r.hier.tactUsefulHits);
+    v.field("pf_from_l2", r.hier.tactPfFromL2);
+    v.field("pf_from_llc", r.hier.tactPfFromLlc);
+    v.field("pf_from_mem", r.hier.tactPfFromMem);
+    v.field("pf_dropped", r.hier.tactPfDropped);
+    v.field("pf_not_on_die", r.hier.tactPfNotOnDie);
+    v.field("from_llc_fraction", r.tactFromLlcFraction);
+    v.field("timeliness_ge80", r.timelinessAtLeast80);
+    v.field("timeliness_ge10", r.timelinessAtLeast10);
+    v.close();
+
+    v.object("energy_mj");
+    v.field("core_dynamic", r.energy.coreDynamic);
+    v.field("cache_dynamic", r.energy.cacheDynamic);
+    v.field("interconnect", r.energy.interconnect);
+    v.field("dram_dynamic", r.energy.dramDynamic);
+    v.field("static_leakage", r.energy.staticLeakage);
+    v.derived("total", r.energy.total());
+    v.close();
+
+    if (v.object("sampling", r.sampled)) {
+        v.field("windows", r.sample.windows);
+        v.field("warmed_instrs", r.sample.warmedInstrs);
+        v.field("ipc_mean", r.sample.ipcMean);
+        v.field("ipc_variance", r.sample.ipcVariance);
+        v.field("ipc_min", r.sample.ipcMin);
+        v.field("ipc_max", r.sample.ipcMax);
+        v.close();
+    }
+}
 
 std::string
 SimResult::toJson() const
 {
     JsonWriter w;
     w.open();
-    w.field("workload", workload);
-    w.field("config", config);
-    w.field("category", std::string(categoryName(category)));
-    w.field("ipc", ipc);
-
-    w.object("core");
-    w.field("instrs", core.instrs);
-    w.field("cycles", core.cycles);
-    w.field("loads", core.loads);
-    w.field("stores", core.stores);
-    w.field("forwarded_loads", core.forwardedLoads);
-    w.field("branches", core.branch.branches);
-    w.field("branch_mispredicts", core.branch.mispredicts);
-    w.field("branch_direction_wrong", core.branch.directionWrong);
-    w.field("branch_target_wrong", core.branch.targetWrong);
-    w.close();
-
-    w.object("hierarchy");
-    w.field("loads", hier.loads);
-    w.field("load_hits_l1", hier.loadHits[0]);
-    w.field("load_hits_l2", hier.loadHits[1]);
-    w.field("load_hits_llc", hier.loadHits[2]);
-    w.field("load_hits_mem", hier.loadHits[3]);
-    w.field("total_load_latency", hier.totalLoadLatency);
-    w.field("total_l1_hit_latency", hier.totalL1HitLatency);
-    w.fieldArray("l1_hits_by_source", hier.l1HitsBySource, 7);
-    w.fieldArray("l1_hit_wait_by_source", hier.l1HitWaitBySource, 7);
-    w.field("store_accesses", hier.storeAccesses);
-    w.field("store_l1_misses", hier.storeL1Misses);
-    w.fieldArray("rfo_hits", hier.rfoHits, 4);
-    w.field("code_fetches", hier.codeFetches);
-    w.fieldArray("code_hits", hier.codeHits, 4);
-    w.field("demoted_loads", hier.demotedLoads);
-    w.field("oracle_converted", hier.oracleConverted);
-    w.field("ring_transfers", hier.ringTransfers);
-    w.field("mem_transfers", hier.memTransfers);
-    w.field("stride_pf_issued", hier.stridePfIssued);
-    w.field("stream_pf_issued", hier.streamPfIssued);
-    w.field("code_pf_issued", hier.codePfIssued);
-    w.close();
-
-    cacheJson(w, "l1d", l1d);
-    cacheJson(w, "l1i", l1i);
-    if (hasL2)
-        cacheJson(w, "l2", l2);
-    cacheJson(w, "llc", llc);
-
-    w.object("dram");
-    w.field("reads", dram.reads);
-    w.field("writes", dram.writes);
-    w.field("activates", dram.activates);
-    w.field("row_hits", dram.rowHits);
-    w.field("row_misses", dram.rowMisses);
-    w.field("write_drains", dram.writeDrains);
-    w.field("refresh_stalls", dram.refreshStalls);
-    w.field("total_read_latency", dram.totalReadLatency);
-    w.field("total_bank_wait", dram.totalBankWait);
-    w.field("total_bus_wait", dram.totalBusWait);
-    w.field("avg_read_latency", dram.avgReadLatency());
-    w.close();
-
-    w.object("frontend");
-    w.field("line_fetches", frontend.lineFetches);
-    w.field("code_stall_cycles", frontend.codeStallCycles);
-    w.field("redirects", frontend.redirects);
-    w.close();
-
-    w.object("criticality");
-    w.field("ddg_retired", ddg.retired);
-    w.field("ddg_walks", ddg.walks);
-    w.field("critical_loads_found", ddg.criticalLoadsFound);
-    w.field("ddg_recorded", ddg.recorded);
-    w.field("ddg_overflows", ddg.overflows);
-    w.field("table_recordings", criticalTable.recordings);
-    w.field("table_insertions", criticalTable.insertions);
-    w.field("table_evictions", criticalTable.evictions);
-    w.field("table_confidence_resets", criticalTable.confidenceResets);
-    w.field("table_queries", criticalTable.queries);
-    w.field("table_query_hits", criticalTable.queryHits);
-    w.field("active_critical_pcs", uint64_t(activeCriticalPcs));
-    w.close();
-
-    w.object("tact");
-    w.field("prefetches", hier.tactPrefetches);
-    w.field("cross_issued", tact.crossIssued);
-    w.field("deep_issued", tact.deepIssued);
-    w.field("feeder_issued", tact.feederIssued);
-    w.field("feeder_runaheads", tact.feederRunaheads);
-    w.field("code_stalls", tact.codeStalls);
-    w.field("code_lines", tact.codeLines);
-    w.field("useful_hits", hier.tactUsefulHits);
-    w.field("pf_from_l2", hier.tactPfFromL2);
-    w.field("pf_from_llc", hier.tactPfFromLlc);
-    w.field("pf_from_mem", hier.tactPfFromMem);
-    w.field("pf_dropped", hier.tactPfDropped);
-    w.field("pf_not_on_die", hier.tactPfNotOnDie);
-    w.field("from_llc_fraction", tactFromLlcFraction);
-    w.field("timeliness_ge80", timelinessAtLeast80);
-    w.field("timeliness_ge10", timelinessAtLeast10);
-    w.close();
-
-    w.object("energy_mj");
-    w.field("core_dynamic", energy.coreDynamic);
-    w.field("cache_dynamic", energy.cacheDynamic);
-    w.field("interconnect", energy.interconnect);
-    w.field("dram_dynamic", energy.dramDynamic);
-    w.field("static_leakage", energy.staticLeakage);
-    w.field("total", energy.total());
-    w.close();
-
-    // Emitted only by sampled runs (like "l2" above): detailed-mode
-    // documents stay byte-identical to pre-sampling exports, which the
-    // golden-hash tests pin.
-    if (sampled) {
-        w.object("sampling");
-        w.field("windows", sample.windows);
-        w.field("warmed_instrs", sample.warmedInstrs);
-        w.field("ipc_mean", sample.ipcMean);
-        w.field("ipc_variance", sample.ipcVariance);
-        w.field("ipc_min", sample.ipcMin);
-        w.field("ipc_max", sample.ipcMax);
-        w.close();
-    }
-
+    forEachField(*this, w);
     w.close();
     return w.str();
 }
@@ -294,144 +194,11 @@ SimResult::toJson() const
 Expected<SimResult>
 SimResult::fromJson(const JsonValue &v)
 {
-    if (!v.isObject())
-        return simError(ErrorCategory::TraceCorrupt,
-                        "SimResult JSON is not an object");
-    std::optional<SimError> err;
-    ObjectReader r(&v, err);
+    JsonReader r(v, ErrorCategory::TraceCorrupt, "SimResult JSON");
     SimResult s;
-
-    r.str("workload", s.workload);
-    r.str("config", s.config);
-    std::string cat;
-    r.str("category", cat);
-    if (!err) {
-        bool found = false;
-        for (Category c : {Category::Client, Category::Fspec,
-                           Category::Hpc, Category::Ispec,
-                           Category::Server}) {
-            if (cat == categoryName(c)) {
-                s.category = c;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            err = simError(ErrorCategory::TraceCorrupt,
-                           "unknown category '", cat, "'");
-    }
-    r.f64("ipc", s.ipc);
-
-    ObjectReader core = r.child("core");
-    core.u64("instrs", s.core.instrs);
-    core.u64("cycles", s.core.cycles);
-    core.u64("loads", s.core.loads);
-    core.u64("stores", s.core.stores);
-    core.u64("forwarded_loads", s.core.forwardedLoads);
-    core.u64("branches", s.core.branch.branches);
-    core.u64("branch_mispredicts", s.core.branch.mispredicts);
-    core.u64("branch_direction_wrong", s.core.branch.directionWrong);
-    core.u64("branch_target_wrong", s.core.branch.targetWrong);
-
-    ObjectReader h = r.child("hierarchy");
-    h.u64("loads", s.hier.loads);
-    h.u64("load_hits_l1", s.hier.loadHits[0]);
-    h.u64("load_hits_l2", s.hier.loadHits[1]);
-    h.u64("load_hits_llc", s.hier.loadHits[2]);
-    h.u64("load_hits_mem", s.hier.loadHits[3]);
-    h.u64("total_load_latency", s.hier.totalLoadLatency);
-    h.u64("total_l1_hit_latency", s.hier.totalL1HitLatency);
-    h.u64Array("l1_hits_by_source", s.hier.l1HitsBySource, 7);
-    h.u64Array("l1_hit_wait_by_source", s.hier.l1HitWaitBySource, 7);
-    h.u64("store_accesses", s.hier.storeAccesses);
-    h.u64("store_l1_misses", s.hier.storeL1Misses);
-    h.u64Array("rfo_hits", s.hier.rfoHits, 4);
-    h.u64("code_fetches", s.hier.codeFetches);
-    h.u64Array("code_hits", s.hier.codeHits, 4);
-    h.u64("demoted_loads", s.hier.demotedLoads);
-    h.u64("oracle_converted", s.hier.oracleConverted);
-    h.u64("ring_transfers", s.hier.ringTransfers);
-    h.u64("mem_transfers", s.hier.memTransfers);
-    h.u64("stride_pf_issued", s.hier.stridePfIssued);
-    h.u64("stream_pf_issued", s.hier.streamPfIssued);
-    h.u64("code_pf_issued", s.hier.codePfIssued);
-
-    cacheFromJson(r.child("l1d"), s.l1d);
-    cacheFromJson(r.child("l1i"), s.l1i);
-    s.hasL2 = r.has("l2");
-    if (s.hasL2)
-        cacheFromJson(r.child("l2"), s.l2);
-    cacheFromJson(r.child("llc"), s.llc);
-
-    ObjectReader dram = r.child("dram");
-    dram.u64("reads", s.dram.reads);
-    dram.u64("writes", s.dram.writes);
-    dram.u64("activates", s.dram.activates);
-    dram.u64("row_hits", s.dram.rowHits);
-    dram.u64("row_misses", s.dram.rowMisses);
-    dram.u64("write_drains", s.dram.writeDrains);
-    dram.u64("refresh_stalls", s.dram.refreshStalls);
-    dram.u64("total_read_latency", s.dram.totalReadLatency);
-    dram.u64("total_bank_wait", s.dram.totalBankWait);
-    dram.u64("total_bus_wait", s.dram.totalBusWait);
-
-    ObjectReader fe = r.child("frontend");
-    fe.u64("line_fetches", s.frontend.lineFetches);
-    fe.u64("code_stall_cycles", s.frontend.codeStallCycles);
-    fe.u64("redirects", s.frontend.redirects);
-
-    ObjectReader crit = r.child("criticality");
-    crit.u64("ddg_retired", s.ddg.retired);
-    crit.u64("ddg_walks", s.ddg.walks);
-    crit.u64("critical_loads_found", s.ddg.criticalLoadsFound);
-    crit.u64("ddg_recorded", s.ddg.recorded);
-    crit.u64("ddg_overflows", s.ddg.overflows);
-    crit.u64("table_recordings", s.criticalTable.recordings);
-    crit.u64("table_insertions", s.criticalTable.insertions);
-    crit.u64("table_evictions", s.criticalTable.evictions);
-    crit.u64("table_confidence_resets", s.criticalTable.confidenceResets);
-    crit.u64("table_queries", s.criticalTable.queries);
-    crit.u64("table_query_hits", s.criticalTable.queryHits);
-    crit.u32("active_critical_pcs", s.activeCriticalPcs);
-
-    ObjectReader tact = r.child("tact");
-    tact.u64("prefetches", s.hier.tactPrefetches);
-    tact.u64("cross_issued", s.tact.crossIssued);
-    tact.u64("deep_issued", s.tact.deepIssued);
-    tact.u64("feeder_issued", s.tact.feederIssued);
-    tact.u64("feeder_runaheads", s.tact.feederRunaheads);
-    tact.u64("code_stalls", s.tact.codeStalls);
-    tact.u64("code_lines", s.tact.codeLines);
-    tact.u64("useful_hits", s.hier.tactUsefulHits);
-    tact.u64("pf_from_l2", s.hier.tactPfFromL2);
-    tact.u64("pf_from_llc", s.hier.tactPfFromLlc);
-    tact.u64("pf_from_mem", s.hier.tactPfFromMem);
-    tact.u64("pf_dropped", s.hier.tactPfDropped);
-    tact.u64("pf_not_on_die", s.hier.tactPfNotOnDie);
-    tact.f64("from_llc_fraction", s.tactFromLlcFraction);
-    tact.f64("timeliness_ge80", s.timelinessAtLeast80);
-    tact.f64("timeliness_ge10", s.timelinessAtLeast10);
-
-    ObjectReader energy = r.child("energy_mj");
-    energy.f64("core_dynamic", s.energy.coreDynamic);
-    energy.f64("cache_dynamic", s.energy.cacheDynamic);
-    energy.f64("interconnect", s.energy.interconnect);
-    energy.f64("dram_dynamic", s.energy.dramDynamic);
-    energy.f64("static_leakage", s.energy.staticLeakage);
-
-    s.sampled = r.has("sampling");
-    if (s.sampled) {
-        ObjectReader sm = r.child("sampling");
-        sm.u64("windows", s.sample.windows);
-        sm.u64("warmed_instrs", s.sample.warmedInstrs);
-        sm.f64("ipc_mean", s.sample.ipcMean);
-        sm.f64("ipc_variance", s.sample.ipcVariance);
-        sm.f64("ipc_min", s.sample.ipcMin);
-        sm.f64("ipc_max", s.sample.ipcMax);
-    }
-
-    if (err)
-        return *err;
+    forEachField(s, r);
+    if (r.error())
+        return *r.error();
     return s;
 }
 
@@ -545,45 +312,15 @@ writeSuiteJson(const std::string &path, const SimConfig &cfg,
         JsonWriter w;
         w.open();
         w.field("workload", o.workload);
-        w.field("status", std::string(runStatusName(o.status)));
-        w.field("attempts", uint64_t(o.attempts));
+        w.field("status", o.status);
+        w.field("attempts", o.attempts);
         w.field("resumed", o.resumed);
         w.field("from_store", o.fromStore);
         if (o.ok()) {
-            // Host-side profiling rides beside the simulated result: it
-            // is wall-clock data and deliberately NOT part of
-            // SimResult's deterministic payload (or the journal).
-            if (o.profile) {
-                w.object("hostPerf");
-                w.field("trace_gen_sec", o.profile->traceGenSec);
-                w.field("warmup_sec", o.profile->warmupSec);
-                w.field("measured_sec", o.profile->measuredSec);
-                w.field("peak_rss_bytes", o.profile->peakRssBytes);
-                // Per-run (never campaign-cumulative) chunk-store
-                // counters: hit-rate stays attributable to this cell.
-                w.field("store_hit_chunks", o.profile->storeHitChunks);
-                w.field("store_miss_chunks", o.profile->storeMissChunks);
-                // Warmed-state snapshot traffic, same per-run scoping.
-                w.field("warm_state_hits", o.profile->warmStateHits);
-                w.field("warm_state_misses", o.profile->warmStateMisses);
-                w.field("warm_state_bytes", o.profile->warmStateBytes);
-                // Window-boundary (inter-sample) snapshot traffic,
-                // split from the global-warmup counters above.
-                w.field("warm_state_window_hits",
-                        o.profile->warmStateWindowHits);
-                w.field("warm_state_window_misses",
-                        o.profile->warmStateWindowMisses);
-                w.field("warm_state_window_bytes",
-                        o.profile->warmStateWindowBytes);
-                w.close();
-            }
+            hostPerfField(w, o.profile);
             w.rawField("result", o.result.toJson());
         } else {
-            w.object("error");
-            w.field("category", std::string(errorCategoryName(
-                                    o.failure->error.category)));
-            w.field("message", o.failure->error.message);
-            w.close();
+            fieldObject(w, "error", o.failure->error);
         }
         w.close();
         body += w.str();

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "cache/hierarchy.hh"
 #include "common/error.hh"
@@ -151,6 +152,44 @@ struct RunProfile
     uint64_t warmStateWindowMisses = 0;
     uint64_t warmStateWindowBytes = 0;
 };
+
+template <FieldsOf<RunProfile> P, typename V>
+void
+forEachField(P &p, V &v)
+{
+    v.field("trace_gen_sec", p.traceGenSec);
+    v.field("warmup_sec", p.warmupSec);
+    v.field("measured_sec", p.measuredSec);
+    v.field("peak_rss_bytes", p.peakRssBytes);
+    v.field("store_hit_chunks", p.storeHitChunks);
+    v.field("store_miss_chunks", p.storeMissChunks);
+    v.field("warm_state_hits", p.warmStateHits);
+    v.field("warm_state_misses", p.warmStateMisses);
+    v.field("warm_state_bytes", p.warmStateBytes);
+    v.field("warm_state_window_hits", p.warmStateWindowHits);
+    v.field("warm_state_window_misses", p.warmStateWindowMisses);
+    v.field("warm_state_window_bytes", p.warmStateWindowBytes);
+}
+
+/**
+ * The optional "hostPerf" object beside a run's result in outcome
+ * exports and worker result frames. Host-side profiling is wall-clock
+ * data and deliberately NOT part of SimResult's deterministic payload
+ * (or the journal). @p profile is a (const) std::optional<RunProfile>;
+ * reading fills it iff the document carries the object.
+ */
+template <typename V, typename P>
+void
+hostPerfField(V &v, P &profile)
+{
+    bool present = profile.has_value();
+    if (!v.object("hostPerf", present))
+        return;
+    if constexpr (!std::is_const_v<P>)
+        profile.emplace();
+    forEachField(*profile, v);
+    v.close();
+}
 
 /** Runs one workload on one machine configuration. */
 class Simulator

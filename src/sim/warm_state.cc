@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/state_io.hh"
 #include "trace/trace_io.hh"
@@ -63,18 +64,31 @@ hex16(uint64_t v)
 
 } // namespace
 
-// --- warming-visible config digest -------------------------------------
+// --- warming-visible config digests -----------------------------------
+
+namespace
+{
+
+/** FNV-1a of @p json salted with the format version, so bumping the
+ *  version re-keys digests too. */
+uint64_t
+saltedDigest(const std::string &json)
+{
+    std::string salted = std::to_string(kWarmStateFormatVersion) + json;
+    return fnv1a(salted.data(), salted.size());
+}
+
+} // namespace
 
 /**
- * The digest serializes, in a fixed order, exactly the knobs warming
- * can observe. Everything else — cache latencies, oracle latency
- * adders and demotion, DRAM timing, core width/ROB/ports, the sampling
- * schedule — is warming-invisible by construction (warm fills stamp
- * readyAt 0 and the clock never advances during warming) and is
- * deliberately left out so timing resweeps share snapshots. The
- * catch_analyze warm-digest scope checks that exclusion list against
- * the warming call graph; extend this function whenever a new knob
- * becomes reachable from warmAccess/warmTrain/TACT-learning code.
+ * Hashes exactly the SimConfig fields tagged WarmVisible in the schema
+ * (common/sim_config.hh). Everything else — cache latencies, oracle
+ * latency adders and demotion, DRAM timing, core width/ROB/ports, the
+ * sampling schedule — is warming-invisible by construction (warm fills
+ * stamp readyAt 0 and the clock never advances during warming) and is
+ * left out so timing resweeps share snapshots. The catch_analyze
+ * warm-digest rule checks every config read on the warming call graph
+ * against those tags.
  *
  * Only the global-warmup snapshot (windowIndex 0) uses this digest.
  * Window-boundary snapshots carry the FULL config digest instead
@@ -84,83 +98,29 @@ hex16(uint64_t v)
 uint64_t
 warmConfigDigest(const SimConfig &cfg)
 {
-    StateSink s;
-    // Layout salt: bumping the format version re-keys digests too.
-    s.u32(kWarmStateFormatVersion);
-
-    // Hierarchy shape: geometry (not latency) decides tag/replacement
-    // state; inclusion decides the eviction/back-invalidate flow.
-    s.boolean(cfg.hasL2);
-    s.u8(static_cast<uint8_t>(cfg.inclusion));
-    s.u32(cfg.numCores);
-    for (const CacheGeometry *g : {&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.llc}) {
-        s.u64(g->sizeBytes);
-        s.u32(g->ways);
-    }
-    // Replacement RNG seeding (hierarchy construction).
-    s.u64(cfg.seed);
-
-    // Baseline prefetchers train during warming.
-    s.boolean(cfg.l1StridePrefetcher);
-    s.boolean(cfg.l2StreamPrefetcher);
-    s.u32(cfg.streamDegree);
-
-    // Criticality detection: conservative full inclusion — the table
-    // shapes what TACT treats as critical while learning.
-    s.boolean(cfg.criticality.enabled);
-    s.u8(static_cast<uint8_t>(cfg.criticality.kind));
-    s.u32(cfg.criticality.tableEntries);
-    s.u32(cfg.criticality.tableWays);
-    s.u32(cfg.criticality.confidenceBits);
-    s.u64(cfg.criticality.confResetInterval);
-    s.u64(static_cast<uint64_t>(cfg.criticality.graphFactor * 1024));
-    s.u64(static_cast<uint64_t>(cfg.criticality.walkFactor * 1024));
-    s.u32(cfg.criticality.latencyQuantShift);
-    s.u32(cfg.criticality.hashedPcBits);
-
-    // TACT learners run (learning-only) during warming.
-    s.boolean(cfg.tact.cross);
-    s.boolean(cfg.tact.deepSelf);
-    s.boolean(cfg.tact.feeder);
-    s.boolean(cfg.tact.code);
-    s.u32(cfg.tact.triggerCacheSets);
-    s.u32(cfg.tact.triggerCacheWays);
-    s.u32(cfg.tact.triggerPcsPerPage);
-    s.u32(cfg.tact.crossTrainInstances);
-    s.u32(cfg.tact.crossCandidateWraps);
-    s.u32(cfg.tact.deepMaxDistance);
-    s.u32(cfg.tact.safeLengthCap);
-    s.u32(cfg.tact.feederDepth);
-    s.u32(cfg.tact.codeRunaheadLines);
-
-    // Oracle knobs that inject or suppress warm fills (the latency
-    // adders and demotion modes are timing-only and excluded).
-    s.boolean(cfg.oracle.oraclePrefetch);
-    s.u32(cfg.oracle.oraclePrefetchPcLimit);
-    s.boolean(cfg.oracle.oracleCodeInL1);
-
-    return fnv1a(s.bytes().data(), s.size());
+    JsonWriter w(JsonWriter::Select::WarmVisible);
+    w.open();
+    forEachField(cfg, w);
+    w.close();
+    return saltedDigest(w.str());
 }
 
 /**
- * Everything the window-boundary placement depends on: the mode plus
- * the three schedule knobs. The per-period warming split (Weyl-
- * staggered pre/post) is a pure function of these and the period
- * index, so two runs with equal schedule digests place every detailed
- * window — and therefore every window-boundary snapshot — at the same
- * instruction positions.
+ * Everything the window-boundary placement depends on: every
+ * SamplingConfig field. The per-period warming split (Weyl-staggered
+ * pre/post) is a pure function of these and the period index, so two
+ * runs with equal schedule digests place every detailed window — and
+ * therefore every window-boundary snapshot — at the same instruction
+ * positions.
  */
 uint64_t
 sampleScheduleDigest(const SamplingConfig &sc)
 {
-    StateSink s;
-    // Layout salt: bumping the format version re-keys digests too.
-    s.u32(kWarmStateFormatVersion);
-    s.u8(static_cast<uint8_t>(sc.mode));
-    s.u64(sc.intervalInstrs);
-    s.u64(sc.windowInstrs);
-    s.u64(sc.warmupInstrs);
-    return fnv1a(s.bytes().data(), s.size());
+    JsonWriter w;
+    w.open();
+    forEachField(sc, w);
+    w.close();
+    return saltedDigest(w.str());
 }
 
 // --- WarmStateStore -----------------------------------------------------

@@ -34,12 +34,13 @@
  *     totalOps is in the key because the stream clamps its final chunk
  *     against it, so the generation frontier near the trace end
  *     depends on it;
- *   - warmConfigDigest() hashes every SimConfig knob that can reach
- *     warmed state and deliberately excludes pure timing knobs;
- *     tools/ci/catch_analyze.py (warm-digest scope) statically checks
- *     the exclusion list against the warming call graph, and knows
- *     sampleScheduleDigest() covers the schedule knobs for the
- *     window-boundary keys;
+ *   - warmConfigDigest() hashes exactly the SimConfig fields the schema
+ *     (common/sim_config.hh) tags WarmVisible — every knob that can
+ *     reach warmed state — and deliberately excludes pure timing knobs;
+ *     tools/analysis/catch_analyze.py (warm-digest rule) statically
+ *     checks every config read on the warming call graph against those
+ *     tags, and knows sampleScheduleDigest() covers the SamplingConfig
+ *     fields for the window-boundary keys;
  *   - kWarmStateFormatVersion is part of every record; bump it whenever
  *     any component's saveWarmState encoding changes and stale disk
  *     snapshots turn into clean misses instead of misparses.
@@ -70,8 +71,9 @@
 namespace catchsim
 {
 
-/** Bump whenever any component's saveWarmState encoding changes. */
-constexpr uint32_t kWarmStateFormatVersion = 2;
+/** Bump whenever any component's saveWarmState encoding, or the
+ *  digests' encoding, changes (3: digests derived from the schema). */
+constexpr uint32_t kWarmStateFormatVersion = 3;
 
 /**
  * Identity of one warmed-state snapshot. Two runs with equal keys are
@@ -104,19 +106,21 @@ struct WarmStateKey
 };
 
 /**
- * FNV-1a digest of every SimConfig knob that can influence warmed
- * state. Pure timing knobs are excluded on purpose — see the file
- * comment for the argument and the static check that guards it.
+ * FNV-1a digest of the SimConfig fields tagged WarmVisible: every knob
+ * that can influence warmed state. Pure timing knobs are excluded on
+ * purpose — see the file comment for the argument and the static check
+ * that guards it.
  */
 uint64_t warmConfigDigest(const SimConfig &cfg);
 
 /**
- * FNV-1a digest of the sampling schedule (mode, interval, window,
- * warmup). Window-boundary snapshots (windowIndex >= 1) carry it: the
- * state at a window boundary depends on where every earlier detailed
- * window fell, which is exactly what the schedule decides. The global
- * boundary (windowIndex 0) predates the first window and stays
- * schedule-independent, so those keys use 0 instead.
+ * FNV-1a digest of the sampling schedule (every SamplingConfig field:
+ * mode, interval, window, warmup). Window-boundary snapshots
+ * (windowIndex >= 1) carry it: the state at a window boundary depends
+ * on where every earlier detailed window fell, which is exactly what
+ * the schedule decides. The global boundary (windowIndex 0) predates
+ * the first window and stays schedule-independent, so those keys use 0
+ * instead.
  */
 uint64_t sampleScheduleDigest(const SamplingConfig &sc);
 

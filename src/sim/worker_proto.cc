@@ -36,127 +36,6 @@ encodeLen(uint32_t len, char *p)
     p[3] = char((len >> 24) & 0xff);
 }
 
-/**
- * Checked member access over one parsed JSON object (the request/
- * result parsers): the first missing or wrong-kind field records a
- * SimError of the parser's category and every later read no-ops, so
- * the parse functions read straight-line.
- */
-class Reader
-{
-  public:
-    Reader(const JsonValue *obj, std::optional<SimError> &err,
-           ErrorCategory cat)
-        : obj_(obj), err_(err), cat_(cat)
-    {
-    }
-
-    Reader
-    child(const char *name) const
-    {
-        return Reader(fetch(name, JsonValue::Kind::Object), err_, cat_);
-    }
-
-    bool has(const char *name) const
-    {
-        return obj_ && obj_->member(name) != nullptr;
-    }
-
-    void
-    u64(const char *name, uint64_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU64();
-    }
-
-    void
-    u32(const char *name, uint32_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU32();
-    }
-
-    void
-    f64(const char *name, double &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asDouble();
-    }
-
-    void
-    str(const char *name, std::string &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::String))
-            dst = m->asString();
-    }
-
-    void
-    boolean(const char *name, bool &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Bool))
-            dst = m->asBool();
-    }
-
-    /** Enum stored as an integer; values past @p max are corruption. */
-    template <typename E>
-    void
-    enumeration(const char *name, E &dst, uint64_t max) const
-    {
-        const JsonValue *m = fetch(name, JsonValue::Kind::Number);
-        if (!m)
-            return;
-        if (m->asU64() > max) {
-            err_ = simError(cat_, "field '", name, "' value ",
-                            m->asU64(), " exceeds enum range ", max);
-            return;
-        }
-        dst = static_cast<E>(m->asU64());
-    }
-
-    const JsonValue *
-    raw(const char *name, JsonValue::Kind kind) const
-    {
-        return fetch(name, kind);
-    }
-
-  private:
-    const JsonValue *
-    fetch(const char *name, JsonValue::Kind kind) const
-    {
-        if (err_ || !obj_)
-            return nullptr;
-        const JsonValue *m = obj_->member(name);
-        if (!m || m->kind() != kind) {
-            err_ = simError(cat_, m ? "wrong-kind" : "missing",
-                            " field '", name, "' in protocol JSON");
-            return nullptr;
-        }
-        return m;
-    }
-
-    const JsonValue *obj_;
-    std::optional<SimError> &err_;
-    ErrorCategory cat_;
-};
-
-void
-geometryJson(JsonWriter &w, const char *name, const CacheGeometry &g)
-{
-    w.object(name);
-    w.field("size_bytes", g.sizeBytes);
-    w.field("ways", uint64_t(g.ways));
-    w.field("latency", uint64_t(g.latency));
-    w.close();
-}
-
-void
-geometryFromJson(const Reader &r, CacheGeometry &g)
-{
-    r.u64("size_bytes", g.sizeBytes);
-    r.u32("ways", g.ways);
-    r.u32("latency", g.latency);
-}
-
 } // namespace
 
 Expected<void>
@@ -264,105 +143,7 @@ configToJson(const SimConfig &cfg)
 {
     JsonWriter w;
     w.open();
-    w.field("name", cfg.name);
-
-    w.object("core");
-    w.field("width", uint64_t(cfg.width));
-    w.field("rob_size", uint64_t(cfg.robSize));
-    w.field("rename_lat", uint64_t(cfg.renameLat));
-    w.field("redirect_lat", uint64_t(cfg.redirectLat));
-    w.field("num_arch_regs", uint64_t(cfg.numArchRegs));
-    w.field("store_queue_size", uint64_t(cfg.storeQueueSize));
-    w.field("fwd_latency", uint64_t(cfg.fwdLatency));
-    w.field("alu_ports", uint64_t(cfg.aluPorts));
-    w.field("load_ports", uint64_t(cfg.loadPorts));
-    w.field("store_ports", uint64_t(cfg.storePorts));
-    w.field("fp_ports", uint64_t(cfg.fpPorts));
-    w.close();
-
-    w.field("has_l2", cfg.hasL2);
-    w.field("inclusion", uint64_t(cfg.inclusion));
-    geometryJson(w, "l1i", cfg.l1i);
-    geometryJson(w, "l1d", cfg.l1d);
-    geometryJson(w, "l2", cfg.l2);
-    geometryJson(w, "llc", cfg.llc);
-    w.field("l1_stride_prefetcher", cfg.l1StridePrefetcher);
-    w.field("l2_stream_prefetcher", cfg.l2StreamPrefetcher);
-    w.field("stream_degree", uint64_t(cfg.streamDegree));
-
-    w.object("dram");
-    w.field("channels", uint64_t(cfg.dram.channels));
-    w.field("ranks_per_channel", uint64_t(cfg.dram.ranksPerChannel));
-    w.field("banks_per_rank", uint64_t(cfg.dram.banksPerRank));
-    w.field("row_bytes", uint64_t(cfg.dram.rowBytes));
-    w.field("t_cas", uint64_t(cfg.dram.tCas));
-    w.field("t_rcd", uint64_t(cfg.dram.tRcd));
-    w.field("t_rp", uint64_t(cfg.dram.tRp));
-    w.field("t_ras", uint64_t(cfg.dram.tRas));
-    w.field("burst_cycles", uint64_t(cfg.dram.burstCycles));
-    w.field("controller_lat", uint64_t(cfg.dram.controllerLat));
-    w.field("write_queue_depth", uint64_t(cfg.dram.writeQueueDepth));
-    w.field("write_drain_watermark",
-            uint64_t(cfg.dram.writeDrainWatermark));
-    w.field("write_drain_batch", uint64_t(cfg.dram.writeDrainBatch));
-    w.field("t_refi", uint64_t(cfg.dram.tRefi));
-    w.field("t_rfc", uint64_t(cfg.dram.tRfc));
-    w.close();
-
-    w.object("criticality");
-    w.field("enabled", cfg.criticality.enabled);
-    w.field("kind", uint64_t(cfg.criticality.kind));
-    w.field("table_entries", uint64_t(cfg.criticality.tableEntries));
-    w.field("table_ways", uint64_t(cfg.criticality.tableWays));
-    w.field("confidence_bits", uint64_t(cfg.criticality.confidenceBits));
-    w.field("conf_reset_interval", cfg.criticality.confResetInterval);
-    w.field("graph_factor", cfg.criticality.graphFactor);
-    w.field("walk_factor", cfg.criticality.walkFactor);
-    w.field("latency_quant_shift",
-            uint64_t(cfg.criticality.latencyQuantShift));
-    w.field("hashed_pc_bits", uint64_t(cfg.criticality.hashedPcBits));
-    w.close();
-
-    w.object("tact");
-    w.field("cross", cfg.tact.cross);
-    w.field("deep_self", cfg.tact.deepSelf);
-    w.field("feeder", cfg.tact.feeder);
-    w.field("code", cfg.tact.code);
-    w.field("trigger_cache_sets", uint64_t(cfg.tact.triggerCacheSets));
-    w.field("trigger_cache_ways", uint64_t(cfg.tact.triggerCacheWays));
-    w.field("trigger_pcs_per_page",
-            uint64_t(cfg.tact.triggerPcsPerPage));
-    w.field("cross_train_instances",
-            uint64_t(cfg.tact.crossTrainInstances));
-    w.field("cross_candidate_wraps",
-            uint64_t(cfg.tact.crossCandidateWraps));
-    w.field("deep_max_distance", uint64_t(cfg.tact.deepMaxDistance));
-    w.field("safe_length_cap", uint64_t(cfg.tact.safeLengthCap));
-    w.field("feeder_depth", uint64_t(cfg.tact.feederDepth));
-    w.field("code_runahead_lines",
-            uint64_t(cfg.tact.codeRunaheadLines));
-    w.close();
-
-    w.object("oracle");
-    w.field("lat_add_l1", uint64_t(cfg.oracle.latAddL1));
-    w.field("lat_add_l2", uint64_t(cfg.oracle.latAddL2));
-    w.field("lat_add_llc", uint64_t(cfg.oracle.latAddLlc));
-    w.field("demote", uint64_t(cfg.oracle.demote));
-    w.field("oracle_prefetch", cfg.oracle.oraclePrefetch);
-    w.field("oracle_prefetch_pc_limit",
-            uint64_t(cfg.oracle.oraclePrefetchPcLimit));
-    w.field("oracle_code_in_l1", cfg.oracle.oracleCodeInL1);
-    w.close();
-
-    w.object("sampling");
-    w.field("mode", uint64_t(cfg.sampling.mode));
-    w.field("interval_instrs", cfg.sampling.intervalInstrs);
-    w.field("window_instrs", cfg.sampling.windowInstrs);
-    w.field("warmup_instrs", cfg.sampling.warmupInstrs);
-    w.close();
-
-    w.field("num_cores", uint64_t(cfg.numCores));
-    w.field("seed", cfg.seed);
+    forEachField(cfg, w);
     w.close();
     return w.str();
 }
@@ -370,107 +151,11 @@ configToJson(const SimConfig &cfg)
 Expected<SimConfig>
 configFromJson(const JsonValue &v)
 {
-    if (!v.isObject())
-        return simError(ErrorCategory::Config,
-                        "SimConfig JSON is not an object");
-    std::optional<SimError> err;
-    Reader r(&v, err, ErrorCategory::Config);
+    JsonReader r(v, ErrorCategory::Config, "SimConfig JSON");
     SimConfig cfg;
-
-    r.str("name", cfg.name);
-
-    Reader core = r.child("core");
-    core.u32("width", cfg.width);
-    core.u32("rob_size", cfg.robSize);
-    core.u32("rename_lat", cfg.renameLat);
-    core.u32("redirect_lat", cfg.redirectLat);
-    core.u32("num_arch_regs", cfg.numArchRegs);
-    core.u32("store_queue_size", cfg.storeQueueSize);
-    core.u32("fwd_latency", cfg.fwdLatency);
-    core.u32("alu_ports", cfg.aluPorts);
-    core.u32("load_ports", cfg.loadPorts);
-    core.u32("store_ports", cfg.storePorts);
-    core.u32("fp_ports", cfg.fpPorts);
-
-    r.boolean("has_l2", cfg.hasL2);
-    r.enumeration("inclusion", cfg.inclusion,
-                  uint64_t(InclusionPolicy::Nine));
-    geometryFromJson(r.child("l1i"), cfg.l1i);
-    geometryFromJson(r.child("l1d"), cfg.l1d);
-    geometryFromJson(r.child("l2"), cfg.l2);
-    geometryFromJson(r.child("llc"), cfg.llc);
-    r.boolean("l1_stride_prefetcher", cfg.l1StridePrefetcher);
-    r.boolean("l2_stream_prefetcher", cfg.l2StreamPrefetcher);
-    r.u32("stream_degree", cfg.streamDegree);
-
-    Reader dram = r.child("dram");
-    dram.u32("channels", cfg.dram.channels);
-    dram.u32("ranks_per_channel", cfg.dram.ranksPerChannel);
-    dram.u32("banks_per_rank", cfg.dram.banksPerRank);
-    dram.u32("row_bytes", cfg.dram.rowBytes);
-    dram.u32("t_cas", cfg.dram.tCas);
-    dram.u32("t_rcd", cfg.dram.tRcd);
-    dram.u32("t_rp", cfg.dram.tRp);
-    dram.u32("t_ras", cfg.dram.tRas);
-    dram.u32("burst_cycles", cfg.dram.burstCycles);
-    dram.u32("controller_lat", cfg.dram.controllerLat);
-    dram.u32("write_queue_depth", cfg.dram.writeQueueDepth);
-    dram.u32("write_drain_watermark", cfg.dram.writeDrainWatermark);
-    dram.u32("write_drain_batch", cfg.dram.writeDrainBatch);
-    dram.u32("t_refi", cfg.dram.tRefi);
-    dram.u32("t_rfc", cfg.dram.tRfc);
-
-    Reader crit = r.child("criticality");
-    crit.boolean("enabled", cfg.criticality.enabled);
-    crit.enumeration("kind", cfg.criticality.kind,
-                     uint64_t(DetectorKind::Heuristic));
-    crit.u32("table_entries", cfg.criticality.tableEntries);
-    crit.u32("table_ways", cfg.criticality.tableWays);
-    crit.u32("confidence_bits", cfg.criticality.confidenceBits);
-    crit.u64("conf_reset_interval", cfg.criticality.confResetInterval);
-    crit.f64("graph_factor", cfg.criticality.graphFactor);
-    crit.f64("walk_factor", cfg.criticality.walkFactor);
-    crit.u32("latency_quant_shift", cfg.criticality.latencyQuantShift);
-    crit.u32("hashed_pc_bits", cfg.criticality.hashedPcBits);
-
-    Reader tact = r.child("tact");
-    tact.boolean("cross", cfg.tact.cross);
-    tact.boolean("deep_self", cfg.tact.deepSelf);
-    tact.boolean("feeder", cfg.tact.feeder);
-    tact.boolean("code", cfg.tact.code);
-    tact.u32("trigger_cache_sets", cfg.tact.triggerCacheSets);
-    tact.u32("trigger_cache_ways", cfg.tact.triggerCacheWays);
-    tact.u32("trigger_pcs_per_page", cfg.tact.triggerPcsPerPage);
-    tact.u32("cross_train_instances", cfg.tact.crossTrainInstances);
-    tact.u32("cross_candidate_wraps", cfg.tact.crossCandidateWraps);
-    tact.u32("deep_max_distance", cfg.tact.deepMaxDistance);
-    tact.u32("safe_length_cap", cfg.tact.safeLengthCap);
-    tact.u32("feeder_depth", cfg.tact.feederDepth);
-    tact.u32("code_runahead_lines", cfg.tact.codeRunaheadLines);
-
-    Reader oracle = r.child("oracle");
-    oracle.u32("lat_add_l1", cfg.oracle.latAddL1);
-    oracle.u32("lat_add_l2", cfg.oracle.latAddL2);
-    oracle.u32("lat_add_llc", cfg.oracle.latAddLlc);
-    oracle.enumeration("demote", cfg.oracle.demote,
-                       uint64_t(DemoteMode::LlcToMemNonCrit));
-    oracle.boolean("oracle_prefetch", cfg.oracle.oraclePrefetch);
-    oracle.u32("oracle_prefetch_pc_limit",
-               cfg.oracle.oraclePrefetchPcLimit);
-    oracle.boolean("oracle_code_in_l1", cfg.oracle.oracleCodeInL1);
-
-    Reader sampling = r.child("sampling");
-    sampling.enumeration("mode", cfg.sampling.mode,
-                         uint64_t(SampleMode::Sampled));
-    sampling.u64("interval_instrs", cfg.sampling.intervalInstrs);
-    sampling.u64("window_instrs", cfg.sampling.windowInstrs);
-    sampling.u64("warmup_instrs", cfg.sampling.warmupInstrs);
-
-    r.u32("num_cores", cfg.numCores);
-    r.u64("seed", cfg.seed);
-
-    if (err)
-        return *err;
+    forEachField(cfg, r);
+    if (r.error())
+        return *r.error();
     return cfg;
 }
 
@@ -479,10 +164,11 @@ configDigest(const SimConfig &cfg)
 {
     // The name is a label, not content: a renamed config simulates
     // identically, so its store cells stay valid (sim/result_store.hh).
-    SimConfig canon = cfg;
-    canon.name.clear();
-    std::string json = configToJson(canon);
-    return fnv1a(json.data(), json.size());
+    JsonWriter w(JsonWriter::Select::Content);
+    w.open();
+    forEachField(cfg, w);
+    w.close();
+    return fnv1a(w.str().data(), w.str().size());
 }
 
 std::string
@@ -490,20 +176,11 @@ buildWorkerRequest(const SimConfig &cfg, const std::string &workload,
                    uint64_t instrs, uint64_t warmup,
                    unsigned attemptBase, const IsolationOptions &opts)
 {
+    WorkerRequest req{cfg, workload, instrs, warmup, attemptBase, opts};
     JsonWriter w;
     w.open();
     w.field("type", std::string("request"));
-    w.field("workload", workload);
-    w.field("instrs", instrs);
-    w.field("warmup", warmup);
-    w.field("attempt_base", uint64_t(attemptBase));
-    w.field("max_attempts", uint64_t(opts.maxAttempts));
-    w.field("backoff_ms", uint64_t(opts.backoffMs));
-    w.field("profile", opts.profile);
-    w.field("max_cycles", opts.budget.maxCycles);
-    w.field("stall_window", opts.budget.stallWindowCycles);
-    w.field("heartbeat_ms", uint64_t(opts.heartbeatMs));
-    w.rawField("config", configToJson(cfg));
+    forEachField(req, w);
     w.close();
     return w.str();
 }
@@ -515,43 +192,20 @@ parseWorkerRequest(const std::string &json)
     if (!parsed.ok())
         return simError(ErrorCategory::Config,
                         "bad worker request: ", parsed.error().message);
-    const JsonValue &v = parsed.value();
-    std::optional<SimError> err;
-    Reader r(&v, err, ErrorCategory::Config);
+    JsonReader r(parsed.value(), ErrorCategory::Config, "worker request");
 
     std::string type;
-    r.str("type", type);
-    if (!err && type != "request")
+    r.field("type", type);
+    if (!r.error() && type != "request")
         return simError(ErrorCategory::Config,
                         "worker request has type '", type, "'");
-
     WorkerRequest req;
-    r.str("workload", req.workload);
-    r.u64("instrs", req.instrs);
-    r.u64("warmup", req.warmup);
-    uint64_t attempt_base = 1, max_attempts = 1, backoff = 0;
-    uint64_t heartbeat = 1000;
-    r.u64("attempt_base", attempt_base);
-    r.u64("max_attempts", max_attempts);
-    r.u64("backoff_ms", backoff);
-    r.boolean("profile", req.opts.profile);
-    r.u64("max_cycles", req.opts.budget.maxCycles);
-    r.u64("stall_window", req.opts.budget.stallWindowCycles);
-    r.u64("heartbeat_ms", heartbeat);
-    const JsonValue *cfg_obj = r.raw("config", JsonValue::Kind::Object);
-    if (err)
-        return *err;
-    req.attemptBase = static_cast<unsigned>(std::max<uint64_t>(
-        1, attempt_base));
-    req.opts.maxAttempts = static_cast<unsigned>(std::max<uint64_t>(
-        1, max_attempts));
-    req.opts.backoffMs = static_cast<unsigned>(backoff);
-    req.opts.heartbeatMs = static_cast<unsigned>(std::max<uint64_t>(
-        1, heartbeat));
-    auto cfg = configFromJson(*cfg_obj);
-    if (!cfg.ok())
-        return cfg.error();
-    req.cfg = std::move(cfg).value();
+    forEachField(req, r);
+    if (r.error())
+        return *r.error();
+    req.attemptBase = std::max(1u, req.attemptBase);
+    req.opts.maxAttempts = std::max(1u, req.opts.maxAttempts);
+    req.opts.heartbeatMs = std::max(1u, req.opts.heartbeatMs);
     return req;
 }
 
@@ -563,35 +217,13 @@ buildWorkerResult(const RunOutcome &out)
     w.field("type", std::string("result"));
     w.field("workload", out.workload);
     w.field("config", out.config);
-    w.field("status", std::string(runStatusName(out.status)));
-    w.field("attempts", uint64_t(out.attempts));
+    w.field("status", out.status);
+    w.field("attempts", out.attempts);
     if (out.ok()) {
         w.rawField("result", out.result.toJson());
-        if (out.profile) {
-            w.object("hostPerf");
-            w.field("trace_gen_sec", out.profile->traceGenSec);
-            w.field("warmup_sec", out.profile->warmupSec);
-            w.field("measured_sec", out.profile->measuredSec);
-            w.field("peak_rss_bytes", out.profile->peakRssBytes);
-            w.field("store_hit_chunks", out.profile->storeHitChunks);
-            w.field("store_miss_chunks", out.profile->storeMissChunks);
-            w.field("warm_state_hits", out.profile->warmStateHits);
-            w.field("warm_state_misses", out.profile->warmStateMisses);
-            w.field("warm_state_bytes", out.profile->warmStateBytes);
-            w.field("warm_state_window_hits",
-                    out.profile->warmStateWindowHits);
-            w.field("warm_state_window_misses",
-                    out.profile->warmStateWindowMisses);
-            w.field("warm_state_window_bytes",
-                    out.profile->warmStateWindowBytes);
-            w.close();
-        }
+        hostPerfField(w, out.profile);
     } else {
-        w.object("error");
-        w.field("category", std::string(errorCategoryName(
-                                out.failure->error.category)));
-        w.field("message", out.failure->error.message);
-        w.close();
+        fieldObject(w, "error", out.failure->error);
     }
     w.close();
     return w.str();
@@ -604,75 +236,38 @@ parseWorkerResult(const std::string &json)
     if (!parsed.ok())
         return simError(ErrorCategory::Crashed,
                         "bad worker result: ", parsed.error().message);
-    const JsonValue &v = parsed.value();
-    std::optional<SimError> err;
-    Reader r(&v, err, ErrorCategory::Crashed);
+    JsonReader r(parsed.value(), ErrorCategory::Crashed, "worker result");
 
-    std::string type, status;
-    r.str("type", type);
-    if (!err && type != "result")
+    std::string type;
+    r.field("type", type);
+    if (!r.error() && type != "result")
         return simError(ErrorCategory::Crashed,
                         "worker sent a '", type,
                         "' frame where a result was expected");
     RunOutcome out;
-    r.str("workload", out.workload);
-    r.str("config", out.config);
-    r.str("status", status);
-    uint64_t attempts = 1;
-    r.u64("attempts", attempts);
-    if (err)
-        return *err;
-    out.attempts = static_cast<unsigned>(std::max<uint64_t>(1, attempts));
-    auto st = runStatusFromName(status);
-    if (!st)
-        return simError(ErrorCategory::Crashed,
-                        "worker result has unknown status '", status,
-                        "'");
-    out.status = *st;
-    if (out.ok()) {
-        const JsonValue *res = r.raw("result", JsonValue::Kind::Object);
-        if (err)
-            return *err;
-        auto sim = SimResult::fromJson(*res);
-        if (!sim.ok())
-            return simError(ErrorCategory::Crashed,
-                            "worker result payload corrupt: ",
-                            sim.error().message);
-        out.result = std::move(sim).value();
-        if (r.has("hostPerf")) {
-            Reader hp = r.child("hostPerf");
-            RunProfile prof;
-            hp.f64("trace_gen_sec", prof.traceGenSec);
-            hp.f64("warmup_sec", prof.warmupSec);
-            hp.f64("measured_sec", prof.measuredSec);
-            hp.u64("peak_rss_bytes", prof.peakRssBytes);
-            hp.u64("store_hit_chunks", prof.storeHitChunks);
-            hp.u64("store_miss_chunks", prof.storeMissChunks);
-            hp.u64("warm_state_hits", prof.warmStateHits);
-            hp.u64("warm_state_misses", prof.warmStateMisses);
-            hp.u64("warm_state_bytes", prof.warmStateBytes);
-            hp.u64("warm_state_window_hits", prof.warmStateWindowHits);
-            hp.u64("warm_state_window_misses",
-                   prof.warmStateWindowMisses);
-            hp.u64("warm_state_window_bytes", prof.warmStateWindowBytes);
-            if (err)
-                return *err;
-            out.profile = prof;
-        }
-    } else {
-        Reader e = r.child("error");
-        std::string category, message;
-        e.str("category", category);
-        e.str("message", message);
-        if (err)
-            return *err;
-        auto cat = errorCategoryFromName(category);
-        if (!cat)
-            return simError(ErrorCategory::Crashed,
-                            "worker failure has unknown category '",
-                            category, "'");
-        out.failure = RunFailure{SimError{*cat, message}, out.attempts};
+    r.field("workload", out.workload);
+    r.field("config", out.config);
+    r.field("status", out.status);
+    r.field("attempts", out.attempts);
+    out.attempts = std::max(1u, out.attempts);
+    if (!r.error() && !out.ok()) {
+        SimError failure;
+        fieldObject(r, "error", failure);
+        if (r.error())
+            return *r.error();
+        out.failure = RunFailure{std::move(failure), out.attempts};
+        return out;
     }
+    const JsonValue *res = r.raw("result", JsonValue::Kind::Object);
+    hostPerfField(r, out.profile);
+    if (r.error())
+        return *r.error();
+    auto sim = SimResult::fromJson(*res);
+    if (!sim.ok())
+        return simError(ErrorCategory::Crashed,
+                        "worker result payload corrupt: ",
+                        sim.error().message);
+    out.result = std::move(sim).value();
     return out;
 }
 

@@ -33,12 +33,15 @@
  * worker that dies mid-frame or prints garbage to stdout becomes a
  * Crashed RunFailure in its own slot.
  *
- * SimConfig round-trips through configToJson/configFromJson with exact
- * u64s and %.17g doubles (common/json.hh), so a worker simulates
- * byte-for-byte the config the supervisor holds — the foundation of the
- * cross-mode bitwise-identity guarantee. configDigest() hashes that
- * canonical serialisation; the incremental result store
- * (sim/result_store.hh) keys on it.
+ * Every frame field, and SimConfig's through configToJson/configFromJson,
+ * is written and read through one field schema (forEachField,
+ * common/schema.hh) with exact u64s and %.17g doubles (common/json.hh),
+ * so a worker simulates byte-for-byte the config the supervisor holds —
+ * the foundation of the cross-mode bitwise-identity guarantee. Reads
+ * are strict: a number a field cannot hold exactly is a typed error in
+ * the parser's category (config for requests, crashed for results).
+ * configDigest() hashes the canonical serialisation; the incremental
+ * result store (sim/result_store.hh) keys on it.
  */
 
 #ifndef CATCHSIM_SIM_WORKER_PROTO_HH_
@@ -113,6 +116,24 @@ struct WorkerRequest
     IsolationOptions opts;
 };
 
+/** The request frame's fields after its "type" (common/schema.hh). */
+template <FieldsOf<WorkerRequest> R, typename V>
+void
+forEachField(R &r, V &v)
+{
+    v.field("workload", r.workload);
+    v.field("instrs", r.instrs);
+    v.field("warmup", r.warmup);
+    v.field("attempt_base", r.attemptBase);
+    v.field("max_attempts", r.opts.maxAttempts);
+    v.field("backoff_ms", r.opts.backoffMs);
+    v.field("profile", r.opts.profile);
+    v.field("max_cycles", r.opts.budget.maxCycles);
+    v.field("stall_window", r.opts.budget.stallWindowCycles);
+    v.field("heartbeat_ms", r.opts.heartbeatMs);
+    fieldObject(v, "config", r.cfg);
+}
+
 /** Serialises one request frame payload (supervisor side). */
 std::string buildWorkerRequest(const SimConfig &cfg,
                                const std::string &workload,
@@ -141,21 +162,22 @@ bool isHeartbeatFrame(const std::string &json);
 std::string heartbeatPayload();
 
 /**
- * Canonical JSON serialisation of every SimConfig knob (fixed field
- * order, exact integers, %.17g doubles). Two configs serialise
- * identically iff they simulate identically.
+ * Canonical JSON serialisation of every SimConfig knob, in the schema's
+ * field order (common/sim_config.hh), with exact integers and %.17g
+ * doubles. Two configs serialise identically iff they simulate
+ * identically.
  */
 std::string configToJson(const SimConfig &cfg);
 
-/** Parses configToJson output; config error on bad shape or an
- *  out-of-range enum value. */
+/** Parses configToJson output; config error on a missing or
+ *  wrong-kind field, or a number or enum value the field cannot hold. */
 Expected<SimConfig> configFromJson(const JsonValue &v);
 
 /**
- * FNV-1a of configToJson(cfg) with the name field blanked: the config
- * component of a result-store key. Any knob change — geometry, policy,
- * sampling schedule — moves the digest and invalidates cached cells;
- * renaming a config does not, because the name never enters the
+ * FNV-1a of configToJson(cfg) with the Label-tagged name blanked: the
+ * config component of a result-store key. Any knob change — geometry,
+ * policy, sampling schedule — moves the digest and invalidates cached
+ * cells; renaming a config does not, because the name never enters the
  * simulation.
  */
 uint64_t configDigest(const SimConfig &cfg);

@@ -28,9 +28,7 @@ Tact::Tact(const TactConfig &cfg, CoreId core, CacheHierarchy &hierarchy,
         auto probe = [this](Addr addr, Cycle now) {
             return hierarchy_.probeDataReady(core_, addr, now);
         };
-        // 64 registers safely covers any trace's architectural register
-        // namespace (our ISA uses 16).
-        feeder_ = std::make_unique<TactFeeder>(cfg, 64, stride_fn,
+        feeder_ = std::make_unique<TactFeeder>(cfg, stride_fn,
                                                issue_timed, probe,
                                                read_mem);
     }

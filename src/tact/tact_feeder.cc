@@ -9,12 +9,11 @@ namespace catchsim
 
 constexpr int64_t TactFeeder::kScales[];
 
-TactFeeder::TactFeeder(const TactConfig &cfg, uint32_t num_arch_regs,
-                       StrideFn stride, IssueFn issue, ProbeFn probe,
-                       ReadMemFn read_mem)
+TactFeeder::TactFeeder(const TactConfig &cfg, StrideFn stride,
+                       IssueFn issue, ProbeFn probe, ReadMemFn read_mem)
     : cfg_(cfg), stride_(std::move(stride)), issue_(std::move(issue)),
       probe_(std::move(probe)), readMem_(std::move(read_mem)),
-      regLastLoadPc_(num_arch_regs, 0), regLastLoadSeq_(num_arch_regs, 0)
+      regLastLoadPc_(kNumArchRegs, 0), regLastLoadSeq_(kNumArchRegs, 0)
 {
 }
 

@@ -43,9 +43,8 @@ class TactFeeder
     /** Reads the value a fill of @p addr would return. */
     using ReadMemFn = std::function<uint64_t(Addr addr)>;
 
-    TactFeeder(const TactConfig &cfg, uint32_t num_arch_regs,
-               StrideFn stride, IssueFn issue, ProbeFn probe,
-               ReadMemFn read_mem);
+    TactFeeder(const TactConfig &cfg, StrideFn stride, IssueFn issue,
+               ProbeFn probe, ReadMemFn read_mem);
 
     /** Program-order register-tracking update (every retired op). */
     void onRetire(const MicroOp &op);

@@ -62,6 +62,15 @@ isFpClass(OpClass cls)
 constexpr uint32_t kMaxSrcs = 3;
 
 /**
+ * Architectural registers the trace format can name: a MicroOp's dst
+ * and srcs are -1 (none) or 0..kNumArchRegs-1. Trace files and chunk
+ * records reject any other index, and every register-indexed table
+ * (the core's scoreboard, TACT's feeder tracking) has this many
+ * entries, so no index a trace carries can reach past one.
+ */
+constexpr int kNumArchRegs = 64;
+
+/**
  * One dynamic instruction. Instructions are 4 bytes long in our ISA.
  *
  * The layout is packed to 32 bytes (half a cache line) because the

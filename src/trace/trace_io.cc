@@ -22,11 +22,9 @@ constexpr uint64_t kHeaderBytes = sizeof(kMagic) + 4 + 8;
 constexpr uint64_t kOpBytes = kTraceOpRecordBytes;
 constexpr uint64_t kPageRecordBytes = 8 + kPageBytes;
 
-// Format-level validity limits: OpClass tops out at Nop, and no
-// supported configuration has more than 64 architectural registers
-// (SimConfig::validate), so larger indices can only be corruption.
+// Format-level validity limits: OpClass tops out at Nop, and register
+// indices past the format's bound (micro_op.hh) can only be corruption.
 constexpr uint8_t kMaxOpClass = static_cast<uint8_t>(OpClass::Nop);
-constexpr int8_t kMaxRegIndex = 63;
 
 struct FileCloser
 {
@@ -51,7 +49,7 @@ get(std::FILE *f, T *v)
 bool
 regIndexOk(int8_t r)
 {
-    return r >= -1 && r <= kMaxRegIndex;
+    return r >= -1 && r < kNumArchRegs;
 }
 
 } // namespace

@@ -36,6 +36,15 @@ enum class Category : uint8_t
 
 const char *categoryName(Category c);
 
+/** Categories export by name (common/schema.hh). */
+inline const char *enumName(Category c) { return categoryName(c); }
+
+constexpr uint64_t
+enumMax(Category)
+{
+    return static_cast<uint64_t>(Category::Server);
+}
+
 /** A generated trace plus the functional memory it computed against. */
 struct Trace
 {

@@ -109,17 +109,23 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         self.assertNotIn("Checkpoint", proc.stdout,
                          "run-boundary callers must stay legal")
 
-    def test_warm_digest_honors_the_schedule_digest(self):
-        # A schedule knob covered by sampleScheduleDigest() must stay
-        # quiet; only the knob neither digest covers is a finding.
+    def test_warm_digest_follows_the_schema_tags(self):
+        # A read of a WarmVisible-tagged field, or of a schedule field
+        # covered by sampleScheduleDigest(), must stay quiet; a read of
+        # an untagged field is a finding, whether the schema lists it
+        # or not.
         proc = run_analyzer(FIXTURES / "warm_digest")
         findings = [l for l in proc.stdout.splitlines()
                     if "[warm-digest]" in l]
-        self.assertEqual(len(findings), 1, proc.stdout)
-        self.assertIn("newKnob", findings[0])
+        self.assertEqual(len(findings), 2, proc.stdout)
+        self.assertTrue(any("'latency'" in l for l in findings),
+                        proc.stdout)
+        self.assertTrue(any("'newKnob'" in l for l in findings),
+                        proc.stdout)
+        self.assertNotIn("'ways'", proc.stdout,
+                         "WarmVisible-tagged fields must stay legal")
         self.assertNotIn("intervalInstrs", proc.stdout,
-                         "schedule-digest-covered knobs must stay "
-                         "legal")
+                         "schedule fields must stay legal")
 
     def test_typedef_clock_names_the_alias(self):
         proc = run_analyzer(FIXTURES / "typedef_clock")

@@ -2,6 +2,7 @@
 
 struct WarmConfig {
     unsigned ways = 8;
+    unsigned latency = 5;
     unsigned newKnob = 0;
     unsigned intervalInstrs = 20000;
 };

@@ -3,13 +3,17 @@
  * Unit tests for the common utilities: bit helpers, RNG, saturating
  * counters, histograms, stats helpers, issue calendar, the busy
  * timeline (differentially against the ring it replaced) and SimConfig
- * validation.
+ * validation, including a schema-driven property test that every
+ * config validate() accepts also runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitutil.hh"
@@ -20,6 +24,8 @@
 #include "common/sat_counter.hh"
 #include "common/sim_config.hh"
 #include "common/stats.hh"
+#include "sim/configs.hh"
+#include "sim/parallel_runner.hh"
 
 namespace catchsim
 {
@@ -414,6 +420,142 @@ TEST(SimConfig, RejectsWatermarkAboveWriteQueueDepth)
     SimConfig cfg;
     cfg.dram.writeDrainWatermark = cfg.dram.writeQueueDepth;
     EXPECT_TRUE(cfg.validate().ok());
+}
+
+TEST(SimConfig, RejectsDegenerateCriticalTables)
+{
+    // A zero-way table divides by zero; sets must be a power of two.
+    expectConfigError([](SimConfig &c) { c.criticality.tableWays = 0; });
+    expectConfigError([](SimConfig &c) { c.criticality.tableEntries = 0; });
+    expectConfigError([](SimConfig &c) { c.criticality.tableEntries = 12; });
+    // 1u << confidenceBits and latency >> latencyQuantShift are
+    // undefined past the operand width.
+    expectConfigError(
+        [](SimConfig &c) { c.criticality.confidenceBits = 32; });
+    expectConfigError(
+        [](SimConfig &c) { c.criticality.latencyQuantShift = 64; });
+}
+
+TEST(SimConfig, RejectsDdgFactorsOutsideTheRowRange)
+{
+    // walkFactor x robSize sizes the DDG rows through a float-to-u32
+    // cast: zero rows, a non-finite factor or a count past UINT32_MAX
+    // cannot be simulated.
+    expectConfigError([](SimConfig &c) { c.criticality.walkFactor = 0; });
+    expectConfigError([](SimConfig &c) {
+        c.criticality.walkFactor = std::numeric_limits<double>::quiet_NaN();
+    });
+    expectConfigError([](SimConfig &c) {
+        c.criticality.graphFactor = std::numeric_limits<double>::infinity();
+    });
+    expectConfigError([](SimConfig &c) {
+        c.criticality.walkFactor = 1e9;
+        c.criticality.graphFactor = 1e9;
+    });
+    expectConfigError([](SimConfig &c) { c.criticality.walkFactor = -1; });
+}
+
+TEST(SimConfig, RejectsDegenerateTriggerCacheDramAndStoreQueue)
+{
+    expectConfigError([](SimConfig &c) { c.tact.triggerCacheSets = 0; });
+    expectConfigError([](SimConfig &c) { c.tact.triggerCacheSets = 3; });
+    expectConfigError([](SimConfig &c) { c.tact.triggerCacheWays = 0; });
+    expectConfigError([](SimConfig &c) { c.dram.rowBytes = 0; });
+    expectConfigError([](SimConfig &c) { c.dram.ranksPerChannel = 0; });
+    expectConfigError([](SimConfig &c) { c.storeQueueSize = 0; });
+}
+
+TEST(SimConfig, RejectsZeroWayCaches)
+{
+    // Found by the parser mutation test: the geometry check itself
+    // divided by the way count.
+    expectConfigError([](SimConfig &c) { c.l1d.ways = 0; });
+    expectConfigError([](SimConfig &c) { c.llc.ways = 0; });
+}
+
+/**
+ * Schema visitor over a SimConfig's numeric fields (integers and
+ * doubles, not bools or enums): counts them, and sets field
+ * @p target to candidate @p pick of {0, 1, 2, 3, default/2,
+ * default*2}.
+ */
+class NumericFieldProbe
+{
+  public:
+    NumericFieldProbe(size_t target, int pick) : target_(target), pick_(pick)
+    {
+    }
+
+    template <typename T>
+    void
+    field(const char *key, T &v, FieldTag = FieldTag::None)
+    {
+        if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+            if (count_++ != target_)
+                return;
+            name_ = key;
+            const T candidates[] = {T(0), T(1), T(2), T(3), T(v / 2),
+                                    T(v * 2)};
+            v = candidates[pick_];
+        }
+    }
+
+    void object(const char *) {}
+    void close() {}
+
+    size_t count() const { return count_; }
+    const std::string &name() const { return name_; }
+
+  private:
+    size_t target_;
+    int pick_;
+    size_t count_ = 0;
+    std::string name_;
+};
+
+TEST(SimConfig, EveryValidatedConfigRunsToATypedOutcome)
+{
+    // The config contract: validate() rejects every config the
+    // simulator cannot run. Walk every numeric field of the schema
+    // through small values, one field at a time, on a CATCH config and
+    // on a sampled one (so the schedule knobs matter). Whatever
+    // validate() lets through must finish a short guarded run as ok or
+    // as a typed failure; a signal would end this test binary.
+    SimConfig sampled = withCatch(baselineSkx());
+    sampled.sampling.mode = SampleMode::Sampled;
+    sampled.sampling.intervalInstrs = 1000;
+    sampled.sampling.windowInstrs = 200;
+    sampled.sampling.warmupInstrs = 200;
+    IsolationOptions opts;
+    opts.maxAttempts = 1;
+    opts.budget.maxCycles = 400000;
+    opts.budget.stallWindowCycles = 100000;
+    size_t accepted = 0, rejected = 0;
+    for (const SimConfig &base : {withCatch(baselineSkx()), sampled}) {
+        NumericFieldProbe counter(~size_t(0), 0);
+        SimConfig probe_base = base;
+        forEachField(probe_base, counter);
+        ASSERT_GT(counter.count(), 60u);
+        for (size_t f = 0; f < counter.count(); ++f) {
+            for (int pick = 0; pick < 6; ++pick) {
+                SimConfig cfg = base;
+                NumericFieldProbe set(f, pick);
+                forEachField(cfg, set);
+                SCOPED_TRACE(set.name() + " candidate " +
+                             std::to_string(pick));
+                if (!cfg.validate().ok()) {
+                    ++rejected;
+                    continue;
+                }
+                ++accepted;
+                RunOutcome out = executeContainedRun(cfg, "mcf", 2000, 500,
+                                                     opts, nullptr,
+                                                     nullptr);
+                EXPECT_TRUE(out.ok() || out.failure.has_value());
+            }
+        }
+    }
+    EXPECT_GT(accepted, rejected) << "the walk must mostly simulate";
 }
 
 TEST(Logging, ConcatFormatsHeterogeneousArguments)

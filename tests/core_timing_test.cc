@@ -75,6 +75,27 @@ TEST(CoreTiming, DependenceChainSerialises)
     EXPECT_GT(ipc, 0.8);
 }
 
+TEST(CoreTiming, HighestFormatRegisterIsTracked)
+{
+    // The trace format admits registers up to kNumArchRegs - 1, and the
+    // scoreboard covers all of them: a serial chain through r63 (as
+    // source and destination) paces like the r1 chain above, with
+    // loads writing and reading r63 in between.
+    constexpr int r63 = kNumArchRegs - 1;
+    Trace t = makeTrace(20000, [](Emitter &em, size_t iter) {
+        em.setPc(codeBlock(0));
+        for (int i = 0; i < 15; ++i)
+            em.alu(r63, {r63});
+        em.load(r63, {r63}, 0x100000 + (iter % 64) * kLineBytes);
+        em.branch(true, codeBlock(0), {});
+    });
+    for (const MicroOp &op : t.ops)
+        ASSERT_TRUE(op.isBranch() || op.dst == r63);
+    double ipc = runIpc(baselineSkx(), t);
+    EXPECT_LT(ipc, 1.3);
+    EXPECT_GT(ipc, 0.3);
+}
+
 TEST(CoreTiming, FpChainPacesAtFpLatency)
 {
     Trace t = makeTrace(20000, [](Emitter &em, size_t) {

@@ -29,12 +29,12 @@ TEST(SimErrorTaxonomy, CategoryNamesRoundTrip)
          {ErrorCategory::Config, ErrorCategory::TraceCorrupt,
           ErrorCategory::IoTransient, ErrorCategory::BudgetExceeded,
           ErrorCategory::Internal}) {
-        auto back = errorCategoryFromName(errorCategoryName(c));
+        auto back = enumFromName<ErrorCategory>(errorCategoryName(c));
         ASSERT_TRUE(back.has_value()) << errorCategoryName(c);
         EXPECT_EQ(*back, c);
     }
-    EXPECT_FALSE(errorCategoryFromName("bogus").has_value());
-    EXPECT_FALSE(errorCategoryFromName("").has_value());
+    EXPECT_FALSE(enumFromName<ErrorCategory>("bogus").has_value());
+    EXPECT_FALSE(enumFromName<ErrorCategory>("").has_value());
 }
 
 TEST(SimErrorTaxonomy, OnlyIoTransientIsRetryable)
@@ -129,7 +129,7 @@ TEST(Json, WriterParserRoundTrip)
     w.field("name", std::string("quote\" back\\slash"));
     w.field("flag", true);
     const uint64_t counters[3] = {1, 0, (1ULL << 63) + 1};
-    w.fieldArray("counters", counters, 3);
+    w.field("counters", counters);
     w.object("nested");
     w.field("inner", static_cast<uint64_t>(7));
     w.close();

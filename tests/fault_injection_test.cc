@@ -487,11 +487,11 @@ TEST(IsolatedExecution, RunStatusWireNamesRoundTrip)
 {
     for (RunStatus s : {RunStatus::Ok, RunStatus::Retried,
                         RunStatus::Failed, RunStatus::TimedOut}) {
-        auto back = runStatusFromName(runStatusName(s));
+        auto back = enumFromName<RunStatus>(runStatusName(s));
         ASSERT_TRUE(back.has_value()) << runStatusName(s);
         EXPECT_EQ(*back, s);
     }
-    EXPECT_FALSE(runStatusFromName("exploded").has_value());
+    EXPECT_FALSE(enumFromName<RunStatus>("exploded").has_value());
 }
 
 /**

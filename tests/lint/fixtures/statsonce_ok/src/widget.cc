@@ -5,6 +5,9 @@ struct W {
     void object(const char *) {}
     void field(const char *, int) {}
 };
+struct JsonReader {
+    void field(const char *, int &) {}
+};
 namespace fx {
 int widget()
 {
@@ -18,5 +21,20 @@ int widget()
     w.close();
     w.close();
     return 0;
+}
+// Reads register nothing: a key read by two parsers is not a
+// duplicate stat.
+int parseA()
+{
+    JsonReader r;
+    int v = 0;
+    r.field("hits", v);
+    return v;
+}
+int parseB(JsonReader &r)
+{
+    int v = 0;
+    r.field("hits", v);
+    return v;
 }
 }

@@ -79,6 +79,27 @@ TEST(ResultsJson, FromJsonRejectsDamagedDocuments)
         auto r = SimResult::fromJson(std::string(bad));
         EXPECT_FALSE(r.ok()) << "must reject: " << bad;
     }
+    // Well-formed documents whose numbers no counter can hold exactly.
+    SimResult base;
+    const std::string json = base.toJson();
+    for (auto [from, to] :
+         {std::pair{"\"cycles\":0", "\"cycles\":1e3"},
+          std::pair{"\"cycles\":0", "\"cycles\":-1"},
+          std::pair{"\"cycles\":0",
+                    "\"cycles\":99999999999999999999999"},
+          std::pair{"\"active_critical_pcs\":0",
+                    "\"active_critical_pcs\":4294967296"},
+          std::pair{"\"ipc\":0", "\"ipc\":1e999"},
+          std::pair{"\"category\":\"ISPEC\"", "\"category\":\"ispec\""},
+          std::pair{"\"rfo_hits\":[0,", "\"rfo_hits\":[0.5,"}}) {
+        std::string bad = json;
+        size_t at = bad.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        bad.replace(at, std::string(from).size(), to);
+        auto r = SimResult::fromJson(bad);
+        ASSERT_FALSE(r.ok()) << "must reject: " << to;
+        EXPECT_EQ(r.error().category, ErrorCategory::TraceCorrupt) << to;
+    }
 }
 
 TEST(ResultsJson, OutcomeExportCarriesStatusAndSummary)

@@ -219,6 +219,66 @@ TEST(WorkerProto, ResultParserRejectsMalformedPayloads)
     }
 }
 
+/** @p json with the value of its first member @p key replaced. */
+std::string
+withMember(std::string json, const std::string &key,
+           const std::string &value)
+{
+    size_t at = json.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos)
+        return json;
+    at += key.size() + 3;
+    return json.replace(at, json.find_first_of(",}", at) - at, value);
+}
+
+TEST(WorkerProto, ParsersRejectInexactNumbers)
+{
+    // Every one of these is well-formed JSON that no field can hold
+    // exactly: past the field's range, negative, fractional, in
+    // exponent form, past 2^64-1, or not finite. Each must be a typed
+    // error in the parser's category, never a coerced value.
+    const std::vector<std::pair<const char *, const char *>> bad = {
+        {"rob_size", "4294967520"}, {"seed", "1e3"},
+        {"seed", "99999999999999999999999"}, {"rob_size", "-1"},
+        {"width", "2.5"}, {"inclusion", "3"}, {"walk_factor", "1e999"},
+        {"has_l2", "1"}, {"mode", "-0"}};
+    const std::string cfg_json = configToJson(baselineSkx());
+    const std::string request =
+        buildWorkerRequest(baselineSkx(), "mcf", kInstr, kWarm, 1,
+                           IsolationOptions{});
+    for (const auto &[key, value] : bad) {
+        auto doc = parseJson(withMember(cfg_json, key, value));
+        ASSERT_TRUE(doc.ok()) << key << "=" << value;
+        auto cfg = configFromJson(doc.value());
+        ASSERT_FALSE(cfg.ok()) << key << "=" << value;
+        EXPECT_EQ(cfg.error().category, ErrorCategory::Config);
+
+        auto req = parseWorkerRequest(withMember(request, key, value));
+        ASSERT_FALSE(req.ok()) << key << "=" << value;
+        EXPECT_EQ(req.error().category, ErrorCategory::Config);
+    }
+    for (const char *value : {"1e3", "-1", "4294967296"}) {
+        auto req = parseWorkerRequest(
+            withMember(request, "heartbeat_ms", value));
+        ASSERT_FALSE(req.ok()) << value;
+        EXPECT_EQ(req.error().category, ErrorCategory::Config);
+    }
+
+    RunOutcome ok;
+    ok.workload = "mcf";
+    ok.config = "c";
+    const std::string result = buildWorkerResult(ok);
+    for (auto [key, value] :
+         {std::pair{"attempts", "-1"}, std::pair{"attempts", "1e3"},
+          std::pair{"cycles", "0.5"},
+          std::pair{"active_critical_pcs", "4294967296"}}) {
+        auto out = parseWorkerResult(withMember(result, key, value));
+        ASSERT_FALSE(out.ok()) << key << "=" << value;
+        EXPECT_EQ(out.error().category, ErrorCategory::Crashed);
+    }
+}
+
 TEST(WorkerProto, ConfigJsonRoundTripsCanonically)
 {
     SimConfig cfg = withCatch(baselineSkx());

@@ -191,7 +191,7 @@ TEST(TactFeeder, IdentifiesFeederLearnsRelationAndChases)
     for (int i = 0; i < 600; ++i)
         mem.write(0x100000 + i * 8, 0x50000000 + i * 128);
     TactFeeder feeder(
-        cfg, 16,
+        cfg,
         [](Addr, int64_t *stride) {
             *stride = 8;
             return true;
@@ -240,7 +240,7 @@ TEST(TactFeeder, SelfFeedingChaseIsExhausted)
     TactConfig cfg = defaultTact();
     std::vector<Addr> issued;
     TactFeeder feeder(
-        cfg, 16, [](Addr, int64_t *) { return false; },
+        cfg, [](Addr, int64_t *) { return false; },
         [&](Addr a, Cycle now) {
             issued.push_back(a);
             return now;
@@ -268,7 +268,7 @@ TEST(TactFeeder, RegisterTrackingPropagatesThroughAlu)
     for (int i = 0; i < 600; ++i)
         mem.write(0x100000 + i * 8, 0x50000000 + i * 64);
     TactFeeder feeder(
-        cfg, 16,
+        cfg,
         [](Addr, int64_t *stride) {
             *stride = 8;
             return true;

@@ -29,13 +29,14 @@ contracts:
       onto the hot loop would re-serialize megabytes per step.
   warm-digest
       Every config field read on the warming-reachable call graph
-      (`cfg.x` / `cfg_.x` member reads; text frontend only) must
-      appear in warmConfigDigest() (src/sim/warm_state.cc) — or in
-      sampleScheduleDigest(), which re-keys the window-boundary
-      snapshots on the schedule knobs — so a knob that can shape
-      warmed state is never silently excluded from the snapshot key.
-      Provably timing-only reads on flag-guarded dual-mode code are
-      waiverable; repos without a digest skip the rule.
+      (`cfg.x` / `cfg_.x` member reads; text frontend only) must be
+      tagged WarmVisible in the field schema (src/common/sim_config.hh),
+      which warmConfigDigest() hashes — or be a SamplingConfig field,
+      which sampleScheduleDigest() hashes to re-key the window-boundary
+      snapshots — so a knob that can shape warmed state is never
+      silently excluded from the snapshot key. Provably timing-only
+      reads on flag-guarded dual-mode code are waiverable; repos
+      without a schema skip the rule.
   determinism-ast
       Entropy/clock calls that reach through type aliases the line
       regexes cannot see (`using Clk = std::chrono::steady_clock;`
@@ -156,8 +157,45 @@ SNAPSHOT_FUNC_RE = re.compile(
 # a stored knob — its inputs are fields tracked at their own reads).
 CFG_READ_RE = re.compile(r"\bcfg_?\s*\.\s*((?:\w+\s*\.\s*)*)(\w+)\s*(\()?")
 
-# Where the snapshot-key digest lives; repos without it skip warm-digest.
-DIGEST_FILE = "src/sim/warm_state.cc"
+def _matching_brace(text: str, open_at: int) -> int:
+    """Index just past the brace that closes text[open_at] ('{')."""
+    depth = 0
+    for i in range(open_at, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return len(text)
+
+
+def _field_calls(body: str):
+    """Top-level argument lists of every `.field(...)` call in body."""
+    for m in re.finditer(r"\.\s*field\s*\(", body):
+        args, depth, cur = [], 0, ""
+        for ch in body[m.end():]:
+            if ch in "(<[{":
+                depth += 1
+            elif ch in ")>]}":
+                if depth == 0:
+                    break
+                depth -= 1
+            if ch == "," and depth == 0:
+                args.append(cur)
+                cur = ""
+            else:
+                cur += ch
+        args.append(cur)
+        yield [a.strip() for a in args]
+
+
+# Where the config field schema lives (forEachField per struct, fields
+# tagged WarmVisible); repos without it skip warm-digest.
+SCHEMA_FILE = "src/common/sim_config.hh"
+SCHEMA_FUNC_RE = re.compile(
+    r"^template\s*<\s*FieldsOf\s*<\s*(\w+)\s*>[^>]*>\s*\w+\s+"
+    r"forEachField\s*\(", re.M)
 
 ALLOC_MEMBER_RE = re.compile(
     r"[.\->]\s*(push_back|emplace_back|emplace|emplace_front|"
@@ -1204,26 +1242,30 @@ class Analyzer:
                 "stay off the hot loop")
 
     def _digest_fields(self):
-        """Identifier tokens in warmConfigDigest()'s body — unioned
-        with sampleScheduleDigest()'s when present, since the schedule
-        knobs re-key the window-boundary snapshots through that second
-        digest — or None when this tree carries no digest (rule
-        skipped)."""
-        path = self.root / DIGEST_FILE
+        """Leaf names of the schema fields that re-key warmed-state
+        snapshots: every field tagged WarmVisible (warmConfigDigest
+        hashes exactly those) plus every SamplingConfig field (the
+        schedule knobs re-key the window-boundary snapshots through
+        sampleScheduleDigest) — or None when this tree carries no
+        schema (rule skipped)."""
+        path = self.root / SCHEMA_FILE
         if not path.is_file():
             return None
         text = strip_comments_and_strings(
             path.read_text(encoding="utf-8", errors="replace"))
         fields: set[str] = set()
         found = False
-        for func in ("warmConfigDigest", "sampleScheduleDigest"):
-            m = re.search(rf"^{func}\s*\(", text, re.M)
-            if not m:
-                continue
+        for m in SCHEMA_FUNC_RE.finditer(text):
             found = True
-            end = text.find("\n}", m.end())
-            body = text[m.end():end if end >= 0 else len(text)]
-            fields.update(re.findall(r"\w+", body))
+            open_at = text.find("{", m.end())
+            body = text[open_at:_matching_brace(text, open_at)]
+            for args in _field_calls(body):
+                if len(args) < 2:
+                    continue
+                leaf = re.findall(r"\w+", args[1])
+                tagged = len(args) > 2 and "WarmVisible" in args[2]
+                if leaf and (tagged or m.group(1) == "SamplingConfig"):
+                    fields.add(leaf[-1])
         return frozenset(fields) if found else None
 
     def check_warm_digest(self) -> None:
@@ -1242,11 +1284,10 @@ class Analyzer:
                 self.report(
                     f.file, ln, rule,
                     f"config field '{leaf}' is read in {qname}() on "
-                    f"the warming path (path: {path}) but does not "
-                    "appear in warmConfigDigest() — a knob that can "
-                    "shape warmed state must re-key the snapshot; "
-                    "extend the digest, or waive a provably "
-                    "timing-only read")
+                    f"the warming path (path: {path}) but is not tagged "
+                    f"WarmVisible in {SCHEMA_FILE} — a knob that can "
+                    "shape warmed state must re-key the snapshot; tag "
+                    "it, or waive a provably timing-only read")
 
     def check_determinism_ast(self) -> None:
         for f in self.prog.funcs.values():

@@ -10,6 +10,7 @@
  * Options:
  *   --config=skx|client         base configuration (default skx)
  *   --no-l2=<llc_kb>            remove the L2, set the LLC size in KB
+ *                               (>= 1)
  *   --catch                     enable criticality detection + all TACT
  *   --criticality               enable only the detector
  *   --detector=heuristic        heuristic detection instead of the DDG
@@ -28,8 +29,9 @@
  *                               CATCH_SAMPLE_WARMUP)
  *   --llc-add=<cycles>          LLC latency adder
  *   --no-prefetchers            disable the baseline prefetchers
- *   --jobs=<n>                  parallel simulations (default CATCH_JOBS
- *                               or hardware concurrency; 1 = serial)
+ *   --jobs=<n>                  parallel simulations, 1..1024 (default
+ *                               CATCH_JOBS or hardware concurrency;
+ *                               1 = serial)
  *   --profile                   collect host phase timings (trace-gen,
  *                               warmup, measured) and peak RSS per run;
  *                               printed per report and exported as the
@@ -67,14 +69,21 @@
  * are contained to their own slot and reported structurally; the
  * campaign continues.
  *
+ * Numeric option values must be whole unsigned integers in range, and
+ * --tact names only the four components; anything else is a usage
+ * error.
+ *
  * Exit codes: 0 every run succeeded; 1 at least one run failed or
  * timed out (or the JSON export failed); 2 usage/configuration error
- * (unknown option, unknown workload, invalid geometry, locked journal
+ * (unknown option, malformed option value, unknown workload, invalid
+ * geometry, locked journal
  * or result store) or at least one run crashed at the process level
  * (worker died, hung past the heartbeat timeout, or failed to exec).
  */
 
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,6 +106,9 @@ using namespace catchsim;
 
 namespace
 {
+
+/** Upper bound of --jobs: one thread per job, so keep it sane. */
+constexpr uint64_t kMaxJobs = 1024;
 
 void
 printReport(const SimResult &r)
@@ -187,6 +199,61 @@ printFailure(const RunOutcome &o)
                 o.failure->error.message.c_str());
 }
 
+/**
+ * The value of @p flag as a whole unsigned integer in @p min..@p max.
+ * Anything else — empty, signed, fractional, trailing junk, out of
+ * range — is a usage error (exit 2), never a silently coerced value.
+ */
+uint64_t
+flagCount(const std::string &flag, const std::string &text, uint64_t min,
+          uint64_t max)
+{
+    errno = 0;
+    uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+    bool digits = !text.empty() &&
+                  text.find_first_not_of("0123456789") == std::string::npos;
+    if (!digits || errno == ERANGE || v < min || v > max) {
+        std::fprintf(stderr,
+                     "catchsim: %s expects an integer in %llu..%llu, got "
+                     "'%s'\n",
+                     flag.c_str(), static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), text.c_str());
+        std::exit(2);
+    }
+    return v;
+}
+
+/** Applies a --tact= list of {cross, deep, feeder, code}; exit 2 on any
+ *  other name. */
+void
+applyTactList(const std::string &list, TactConfig &tact)
+{
+    tact.cross = tact.deepSelf = tact.feeder = tact.code = false;
+    size_t at = 0;
+    for (;;) {
+        size_t comma = list.find(',', at);
+        std::string name = list.substr(at, comma - at);
+        if (name == "cross") {
+            tact.cross = true;
+        } else if (name == "deep") {
+            tact.deepSelf = true;
+        } else if (name == "feeder") {
+            tact.feeder = true;
+        } else if (name == "code") {
+            tact.code = true;
+        } else {
+            std::fprintf(stderr,
+                         "catchsim: --tact takes a comma-separated list "
+                         "of cross, deep, feeder, code; got '%s'\n",
+                         name.c_str());
+            std::exit(2);
+        }
+        if (comma == std::string::npos)
+            return;
+        at = comma + 1;
+    }
+}
+
 [[noreturn]] void
 usage()
 {
@@ -221,7 +288,7 @@ main(int argc, char **argv)
 
     SimConfig cfg = baselineSkx();
     bool client = false;
-    int64_t no_l2_kb = -1;
+    uint64_t no_l2_kb = 0;
     uint64_t instrs = 300000, warmup = 100000;
     SamplingConfig sampling = SamplingConfig::fromEnvironment();
     unsigned jobs = suiteJobs();
@@ -242,9 +309,11 @@ main(int argc, char **argv)
                 std::printf("%s\n", n.c_str());
             return 0;
         } else if (arg.rfind("--config=", 0) == 0) {
+            if (value() != "skx" && value() != "client")
+                usage();
             client = value() == "client";
         } else if (arg.rfind("--no-l2=", 0) == 0) {
-            no_l2_kb = std::strtoll(value().c_str(), nullptr, 10);
+            no_l2_kb = flagCount("--no-l2", value(), 1, UINT64_MAX >> 10);
         } else if (arg == "--catch") {
             cfg.enableCatch();
         } else if (arg == "--criticality") {
@@ -253,38 +322,34 @@ main(int argc, char **argv)
             cfg.criticality.kind = DetectorKind::Heuristic;
         } else if (arg.rfind("--tact=", 0) == 0) {
             cfg.criticality.enabled = true;
-            std::string list = value();
-            cfg.tact.cross = list.find("cross") != std::string::npos;
-            cfg.tact.deepSelf = list.find("deep") != std::string::npos;
-            cfg.tact.feeder = list.find("feeder") != std::string::npos;
-            cfg.tact.code = list.find("code") != std::string::npos;
+            applyTactList(value(), cfg.tact);
         } else if (arg.rfind("--instr=", 0) == 0) {
-            instrs = std::strtoull(value().c_str(), nullptr, 10);
+            instrs = flagCount("--instr", value(), 0, UINT64_MAX);
         } else if (arg.rfind("--warmup=", 0) == 0) {
-            warmup = std::strtoull(value().c_str(), nullptr, 10);
+            warmup = flagCount("--warmup", value(), 0, UINT64_MAX);
         } else if (arg == "--sample") {
             sampling.mode = SampleMode::Sampled;
         } else if (arg.rfind("--sample-interval=", 0) == 0) {
             sampling.mode = SampleMode::Sampled;
             sampling.intervalInstrs =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagCount("--sample-interval", value(), 0, UINT64_MAX);
         } else if (arg.rfind("--sample-window=", 0) == 0) {
             sampling.mode = SampleMode::Sampled;
             sampling.windowInstrs =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagCount("--sample-window", value(), 0, UINT64_MAX);
         } else if (arg.rfind("--sample-warmup=", 0) == 0) {
             sampling.mode = SampleMode::Sampled;
             sampling.warmupInstrs =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagCount("--sample-warmup", value(), 0, UINT64_MAX);
         } else if (arg.rfind("--llc-add=", 0) == 0) {
             cfg.oracle.latAddLlc = static_cast<uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+                flagCount("--llc-add", value(), 0, UINT32_MAX));
         } else if (arg == "--no-prefetchers") {
             cfg.l1StridePrefetcher = false;
             cfg.l2StreamPrefetcher = false;
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            long v = std::strtol(value().c_str(), nullptr, 10);
-            jobs = v >= 1 ? static_cast<unsigned>(v) : 1;
+            jobs = static_cast<unsigned>(
+                flagCount("--jobs", value(), 1, kMaxJobs));
         } else if (arg == "--profile") {
             profile = true;
         } else if (arg.rfind("--json=", 0) == 0) {
@@ -333,7 +398,7 @@ main(int argc, char **argv)
     bool no_pf = !cfg.l1StridePrefetcher;
     cfg = client ? baselineClient() : baselineSkx();
     if (no_l2_kb > 0)
-        cfg = noL2(cfg, static_cast<uint64_t>(no_l2_kb));
+        cfg = noL2(cfg, no_l2_kb);
     cfg.criticality.enabled = want_catch;
     cfg.criticality.kind = detector;
     cfg.tact = tact;

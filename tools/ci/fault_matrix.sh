@@ -136,6 +136,17 @@ echo "== config errors exit 2 before any simulation =="
 run_expect 2 "$CLI" "${ARGS[@]}" no-such-workload mcf
 run_expect 2 "$CLI" "${ARGS[@]}" --journal=/dev/null/nested mcf
 run_expect 2 "$CLI" "${ARGS[@]}" --result-store=/dev/null/nested mcf
+# Malformed option values are usage errors, never coerced values.
+run_expect 2 "$CLI" "${ARGS[@]}" --instr=abc mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --tact=bogus mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --tact=cross,bogus mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --no-l2=abc mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --jobs=abc mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --jobs=0 mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --llc-add=4294967296 mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --warmup=-1 mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --sample-window=1e3 mcf
+run_expect 2 "$CLI" "${ARGS[@]}" --config=bogus mcf
 
 # ---------------- process-isolated execution matrix ----------------
 # Workers re-exec the CLI binary itself (--worker); restarts are

@@ -23,7 +23,9 @@ This linter enforces the repo contracts statically:
                 Untestable files need a waiver with a reason.
   stats-once    JSON stat keys are registered exactly once per object
                 scope (tracks JsonWriter open/close/field/object call
-                sequences), so exports never silently shadow a counter.
+                sequences; calls on JsonReader variables are reads and
+                are skipped), so exports never silently shadow a
+                counter.
   include-cc    no `#include "*.cc"` anywhere; translation units are
                 composed by the build system, not textual inclusion.
   fatal-boundary library code in src/ never terminates the process on a
@@ -92,6 +94,9 @@ INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 WRITER_CALL_RE = re.compile(
     r"""[.\->]\s*(open|close|object|field|key)\s*\(\s*(?:"([^"]*)")?"""
 )
+# A JsonReader variable or parameter, and the receiver of a call.
+READER_DECL_RE = re.compile(r"\bJsonReader\s*&?\s*(\w+)\s*[({,;)]")
+RECEIVER_RE = re.compile(r"(\w+)\s*$")
 
 # step-alloc: files whose steady-state member functions must not
 # allocate. Constructors and the named setup-time functions may.
@@ -424,10 +429,16 @@ class Linter:
             code = strip_comments_and_strings(text)
             # Call sites only: require an object expression before the
             # dot so the JsonWriter class definition itself is ignored.
+            # JsonReader shares the visitor method names, but a read
+            # registers nothing: calls on declared readers are skipped.
+            readers = set(READER_DECL_RE.findall(code))
             stack: list[set[str]] = []
             orig_lines = text.splitlines()
             for lineno, line in enumerate(code.splitlines(), 1):
                 for m in WRITER_CALL_RE.finditer(line):
+                    recv = RECEIVER_RE.search(line[:m.start()].rstrip("-"))
+                    if recv and recv.group(1) in readers:
+                        continue
                     call = m.group(1)
                     # Stripping blanks string contents but preserves
                     # offsets; recover the real key from the original.
