@@ -37,12 +37,13 @@
  * The five process-level kinds (crash-abort, crash-segv, oom,
  * exec-fail, heartbeat-stall) act only in process-isolated mode
  * (sim/supervisor.hh): crash-abort, crash-segv and oom take effect
- * inside the worker when it receives the run's request, exec-fail
- * while spawning a fresh worker for the run, and heartbeat-stall
- * silences the worker's heartbeat so the wall-clock watchdog fires. For
- * ':xN' counting their attempt number is the process attempt (how many
- * times the run has been dispatched to a worker), so a bounded clause
- * crashes the first N dispatches and lets the restart succeed.
+ * inside the worker when the run starts, exec-fail while spawning a
+ * fresh worker for the run, and heartbeat-stall silences the worker's
+ * heartbeat so the wall-clock watchdog fires. For ':xN' counting their
+ * attempt number is the process attempt (how many times the run has
+ * been dispatched to a worker; a queued run sent back unstarted keeps
+ * its count), so a bounded clause crashes the first N dispatches and
+ * lets the restart succeed.
  *
  * Non-workload injection points use reserved names, e.g. the suite
  * JSON exporter asks for "json-export", the chunk store's disk reads

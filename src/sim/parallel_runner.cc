@@ -138,7 +138,7 @@ RunOutcome
 executeContainedRun(const SimConfig &cfg, const std::string &name,
                     uint64_t instrs, uint64_t warmup,
                     const IsolationOptions &opts, ChunkStore *store,
-                    WarmStateStore *warm_store)
+                    WarmStateStore *warm_store, PreparedTrace *prepared)
 {
     RunOutcome out;
     out.workload = name;
@@ -153,7 +153,8 @@ executeContainedRun(const SimConfig &cfg, const std::string &name,
             auto r = runWorkloadGuarded(cfg, name, instrs, warmup,
                                         opts.budget, plan, attempt,
                                         opts.profile ? &prof : nullptr,
-                                        store, warm_store);
+                                        store, warm_store,
+                                        attempt == 1 ? prepared : nullptr);
             if (r.ok()) {
                 out.result = std::move(r).value();
                 out.status =

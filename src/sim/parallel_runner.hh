@@ -215,6 +215,8 @@ runWorkloadsIsolated(const SimConfig &cfg,
  * its whole job — which is what keeps in-process and process-isolated
  * campaigns bitwise-identical. Consults only opts.budget/maxAttempts/
  * backoffMs/profile/plan; journal and stores are the caller's concern.
+ * @p prepared (optional) is the run's trace built ahead; only attempt 1
+ * runs on it, and a retried attempt builds its trace afresh.
  */
 RunOutcome executeContainedRun(const SimConfig &cfg,
                                const std::string &name, uint64_t instrs,
@@ -222,7 +224,8 @@ RunOutcome executeContainedRun(const SimConfig &cfg,
                                const IsolationOptions &opts,
                                ChunkStore *store,
                                WarmStateStore *warm_store =
-                                   WarmStateStore::global());
+                                   WarmStateStore::global(),
+                               PreparedTrace *prepared = nullptr);
 
 /**
  * Relative wall-clock cost estimate for one workload run, used to order

@@ -108,37 +108,77 @@ Simulator::run(Workload &workload, uint64_t instrs, uint64_t warmup)
     return std::move(r).value();
 }
 
+PreparedTrace::PreparedTrace(Workload &wl, uint64_t total_ops,
+                             TraceMode mode, ChunkStore *store,
+                             bool profile)
+    : wl_(&wl), totalOps_(total_ops), mode_(mode), store_(store)
+{
+    // The streamed path passes a host clock down iff profiling, so
+    // setup and every later refill accrue into the stream's genSeconds.
+    if (mode == TraceMode::Materialized) {
+        const double start = profile ? hostSeconds() : 0;
+        trace_.emplace(wl.generate(total_ops));
+        genSec_ = profile ? hostSeconds() - start : 0;
+    } else {
+        stream_ = std::make_unique<TraceStream>(
+            wl, total_ops, TraceStream::kDefaultChunkOps,
+            profile ? std::function<double()>(hostSeconds)
+                    : std::function<double()>(),
+            store);
+    }
+}
+
+std::optional<PreparedTrace>
+PreparedTrace::forWorkload(const std::string &name, uint64_t total_ops,
+                           ChunkStore *store, bool profile)
+{
+    auto wl = findWorkload(name);
+    if (!wl.ok())
+        return std::nullopt;
+    PreparedTrace trace(*wl.value(), total_ops, TraceMode::Streamed,
+                        store, profile);
+    trace.owned_ = std::move(wl).value();
+    return trace;
+}
+
 Expected<SimResult>
 Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
                       const RunBudget &budget, RunProfile *profile)
 {
+    const double start = profile ? hostSeconds() : 0;
+    PreparedTrace trace(workload, instrs + warmup, mode_, store_,
+                        profile != nullptr);
+    const double built = profile ? hostSeconds() : 0;
+    auto r = runGuarded(trace, instrs, warmup, budget, profile);
+    // The run started at this call, and a streamed trace's generation
+    // is interleaved with simulation: its priming counts as warmup.
+    if (profile && mode_ == TraceMode::Streamed)
+        profile->warmupSec += built - start;
+    return r;
+}
+
+Expected<SimResult>
+Simulator::runGuarded(PreparedTrace &prepared, uint64_t instrs,
+                      uint64_t warmup, const RunBudget &budget,
+                      RunProfile *profile)
+{
+    CATCHSIM_ASSERT(!prepared.spent_ && prepared.mode_ == mode_ &&
+                        prepared.store_ == store_ &&
+                        prepared.totalOps_ == instrs + warmup,
+                    "prepared trace does not fit this run");
+    prepared.spent_ = true;
+    Workload &workload = *prepared.wl_;
     SimConfig cfg = cfg_;
     cfg.numCores = 1;
 
     // Trace source: streamed (default) or fully materialized. Both
-    // drive the core through the same TraceView; the streamed path
-    // additionally passes a host clock down iff profiling, so refill
-    // time can be attributed to trace generation.
+    // drive the core through the same TraceView.
     const bool prof = profile != nullptr;
     double phase_start = prof ? hostSeconds() : 0;
-    std::optional<Trace> trace;
-    std::optional<TraceStream> stream;
-    const FunctionalMemory *mem = nullptr;
-    if (mode_ == TraceMode::Materialized) {
-        trace.emplace(workload.generate(instrs + warmup));
-        mem = trace->mem.get();
-        if (prof) {
-            profile->traceGenSec = hostSeconds() - phase_start;
-            phase_start = hostSeconds();
-        }
-    } else {
-        stream.emplace(workload, instrs + warmup,
-                       TraceStream::kDefaultChunkOps,
-                       prof ? std::function<double()>(hostSeconds)
-                            : std::function<double()>(),
-                       store_);
-        mem = stream->mem().get();
-    }
+    Trace *trace = prepared.trace_ ? &*prepared.trace_ : nullptr;
+    TraceStream *stream = prepared.stream_.get();
+    const FunctionalMemory *mem =
+        stream ? stream->mem().get() : trace->mem.get();
     CacheHierarchy hierarchy(cfg);
 
     std::unique_ptr<CriticalityDetector> detector;
@@ -491,8 +531,9 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
     }
     if (prof) {
         profile->measuredSec = hostSeconds() - phase_start;
+        profile->traceGenSec =
+            stream ? stream->genSeconds() : prepared.genSec_;
         if (stream) {
-            profile->traceGenSec = stream->genSeconds();
             profile->storeHitChunks = stream->storeHits();
             profile->storeMissChunks = stream->storeMisses();
         }
@@ -580,7 +621,8 @@ runWorkloadGuarded(const SimConfig &cfg, const std::string &name,
                    uint64_t instrs, uint64_t warmup,
                    const RunBudget &budget, const FaultPlan &plan,
                    unsigned attempt, RunProfile *profile,
-                   ChunkStore *store, WarmStateStore *warm_store)
+                   ChunkStore *store, WarmStateStore *warm_store,
+                   PreparedTrace *prepared)
 {
     if (plan.enabled()) {
         if (plan.shouldInject(FaultKind::TraceCorrupt, name, attempt))
@@ -610,10 +652,16 @@ runWorkloadGuarded(const SimConfig &cfg, const std::string &name,
 
     if (auto valid = cfg.validate(); !valid.ok())
         return valid.error();
+    Simulator sim(cfg, TraceMode::Streamed, store, warm_store);
+    if (prepared) {
+        CATCHSIM_ASSERT(prepared->workload().name() == name,
+                        "prepared trace of '", prepared->workload().name(),
+                        "' handed to a run of '", name, "'");
+        return sim.runGuarded(*prepared, instrs, warmup, budget, profile);
+    }
     auto wl = findWorkload(name);
     if (!wl.ok())
         return wl.error();
-    Simulator sim(cfg, TraceMode::Streamed, store, warm_store);
     return sim.runGuarded(*wl.value(), instrs, warmup, budget, profile);
 }
 

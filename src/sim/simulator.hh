@@ -9,6 +9,7 @@
 #define CATCHSIM_SIM_SIMULATOR_HH_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -23,6 +24,7 @@
 #include "sim/warm_state.hh"
 #include "tact/tact.hh"
 #include "trace/chunk_store.hh"
+#include "trace/trace_stream.hh"
 #include "trace/workload.hh"
 
 namespace catchsim
@@ -126,8 +128,17 @@ enum class TraceMode : uint8_t
  */
 struct RunProfile
 {
+    /** All of the run's trace generation: kernel setup, priming and
+     *  every refill, including the part built ahead on a PreparedTrace
+     *  before the run started (on whichever thread built it). */
     double traceGenSec = 0;
+    /** From the run's start to the end of warmup. The run starts when
+     *  Simulator::runGuarded is called: with a Workload, that includes
+     *  building the trace (a streamed trace's priming is part of its
+     *  warmup, a materialized trace's generation is not); on a
+     *  PreparedTrace, the trace built ahead is not counted. */
     double warmupSec = 0;
+    /** From the end of warmup to the end of the run. */
     double measuredSec = 0;
     uint64_t peakRssBytes = 0;
     /** Chunk refills served by / missed in the chunk store for THIS
@@ -191,6 +202,53 @@ hostPerfField(V &v, P &profile)
     v.close();
 }
 
+/**
+ * A run's trace, built before the run starts: the workload's kernel
+ * setup has run and a streamed trace's two-chunk ring is primed (a
+ * materialized trace is generated whole). Building one reads no
+ * SimConfig, so it may happen on another thread and before the run's
+ * config is validated; the supervised worker builds the next run's
+ * trace this way while the current run simulates. A prepared trace
+ * serves exactly one run, of a Simulator with the same TraceMode and
+ * chunk store, for instrs + warmup == totalOps.
+ */
+class PreparedTrace
+{
+  public:
+    /**
+     * @param wl must outlive this object; the stream owns its
+     *        generation cursors until the run ends
+     * @param profile time generation into the run's
+     *        RunProfile::traceGenSec
+     */
+    PreparedTrace(Workload &wl, uint64_t total_ops, TraceMode mode,
+                  ChunkStore *store, bool profile);
+
+    /**
+     * Looks up @p name (findWorkload) and prepares its streamed trace,
+     * owning the workload. std::nullopt for an unknown name: the run
+     * reports that error itself when it starts.
+     */
+    static std::optional<PreparedTrace>
+    forWorkload(const std::string &name, uint64_t total_ops,
+                ChunkStore *store, bool profile);
+
+    Workload &workload() const { return *wl_; }
+
+  private:
+    friend class Simulator;
+
+    std::unique_ptr<Workload> owned_; ///< set by forWorkload only
+    Workload *wl_;
+    uint64_t totalOps_;
+    TraceMode mode_;
+    ChunkStore *store_;
+    std::optional<Trace> trace_;          ///< materialized mode
+    std::unique_ptr<TraceStream> stream_; ///< streamed mode
+    double genSec_ = 0; ///< materialized generation time, if profiled
+    bool spent_ = false;
+};
+
 /** Runs one workload on one machine configuration. */
 class Simulator
 {
@@ -227,8 +285,18 @@ class Simulator
      * watchdog only observes).
      * @param profile when non-null, filled with host phase timings and
      *        peak RSS; the simulated result is unaffected.
+     * Prepares the trace (PreparedTrace) and runs on it.
      */
     Expected<SimResult> runGuarded(Workload &workload, uint64_t instrs,
+                                   uint64_t warmup,
+                                   const RunBudget &budget,
+                                   RunProfile *profile = nullptr);
+
+    /**
+     * runGuarded on a trace built ahead, which it consumes. The result
+     * is bitwise-identical to runGuarded(trace.workload(), ...).
+     */
+    Expected<SimResult> runGuarded(PreparedTrace &trace, uint64_t instrs,
                                    uint64_t warmup,
                                    const RunBudget &budget,
                                    RunProfile *profile = nullptr);
@@ -251,7 +319,10 @@ SimResult runWorkload(const SimConfig &cfg, const std::string &name,
  * hang driven through the real watchdog — and polices @p budget.
  * Worker exceptions (including injected ones) are NOT caught here;
  * the per-slot isolation in runWorkloadsIsolated converts them into
- * internal RunFailures.
+ * internal RunFailures. @p prepared, when non-null, is @p name's trace
+ * built ahead (PreparedTrace::forWorkload with the same store, instrs +
+ * warmup ops): the run consumes it instead of building one, after the
+ * same fault checks and validation.
  */
 Expected<SimResult> runWorkloadGuarded(const SimConfig &cfg,
                                        const std::string &name,
@@ -263,7 +334,8 @@ Expected<SimResult> runWorkloadGuarded(const SimConfig &cfg,
                                        ChunkStore *store =
                                            ChunkStore::global(),
                                        WarmStateStore *warm_store =
-                                           WarmStateStore::global());
+                                           WarmStateStore::global(),
+                                       PreparedTrace *prepared = nullptr);
 
 } // namespace catchsim
 

@@ -57,18 +57,27 @@ class SigpipeGuard
 /** Worker processes forked so far (workerSpawnCount()). */
 std::atomic<uint64_t> spawned{0};
 
+/** A run to dispatch: its index into names and the process attempt
+ *  (dispatch count) the dispatch will be. */
+struct Pending
+{
+    size_t idx;
+    unsigned attempt;
+};
+
 /**
  * One live worker process and its stream-reassembly state. A worker is
- * busy (cell set: a request is in flight) or draining (stdin closed, the
- * supervisor waits for its exit); it is never idle across poll rounds.
+ * busy (running set: a request is in flight, and maybe one more queued
+ * behind it) or draining (stdin closed, the supervisor waits for its
+ * exit); it is never idle across poll rounds.
  */
 struct WorkerProc
 {
     pid_t pid = -1;
     int inFd = -1;  ///< write end of the worker's stdin; -1 once closed
     int outFd = -1; ///< read end of the worker's stdout
-    std::optional<size_t> cell; ///< in-flight run index into names
-    unsigned processAttempt = 1; ///< dispatch count of the in-flight run
+    std::optional<Pending> running; ///< the run the next result is for
+    std::optional<Pending> queued;  ///< sent, starts after running
     double deadline = 0; ///< hostSeconds() past which the worker hangs
     bool eof = false;    ///< stdout closed: ready to reap
     bool killedForTimeout = false;
@@ -196,11 +205,6 @@ runWorkloadsSupervised(const SimConfig &cfg,
     // the content-hashed store; only the remainder goes to workers.
     uint64_t cfg_digest = opts.resultStore ? configDigest(cfg) : 0;
     std::vector<std::optional<RunKey>> keys(names.size());
-    struct Pending
-    {
-        size_t idx;
-        unsigned attempt; ///< process attempt this dispatch will be
-    };
     std::vector<Pending> pending;
     for (size_t i = 0; i < names.size(); ++i) {
         if (opts.journal) {
@@ -261,16 +265,47 @@ runWorkloadsSupervised(const SimConfig &cfg,
     std::vector<WorkerProc> workers;
     const size_t slots = std::max(1u, jobs);
 
-    // Sends run @p p to @p w and arms the watchdog. A worker that died
-    // meanwhile makes the write fail (EPIPE); its EOF then classifies
-    // the run like any other death.
-    auto send = [&](WorkerProc &w, Pending p) {
-        w.cell = p.idx;
-        w.processAttempt = p.attempt;
-        w.deadline = hostSeconds() + timeout_sec;
+    // A worker that died meanwhile makes a request write fail (EPIPE);
+    // its EOF then classifies the run like any other death.
+    auto request = [&](const WorkerProc &w, Pending p) {
         (void)writeFrame(w.inFd,
                          buildWorkerRequest(cfg, names[p.idx], instrs,
                                             warmup, p.attempt, opts));
+    };
+    auto execFailDue = [&](Pending p) {
+        return plan.shouldInject(FaultKind::ExecFail, names[p.idx],
+                                 p.attempt);
+    };
+
+    // Queues the next pending run behind @p w's running one, so the
+    // worker builds its trace while the running one simulates. Only
+    // when no free slot could start it at once, so queueing never
+    // serialises runs that could run in parallel. Never a restart and
+    // never behind one: a crash while the worker prepares the queued
+    // run is charged to the running run, so a restart is dispatched
+    // alone. For the same reason nothing is queued when a run has a
+    // single attempt: that charge would be final. Never a run due an
+    // exec-fail injection, which must go to a fresh spawn, nor behind
+    // one. Sending does not touch the watchdog: only bytes from the
+    // worker refresh its deadline.
+    auto enqueue = [&](WorkerProc &w) {
+        if (opts.maxAttempts < 2 || w.eof || !w.running || w.queued ||
+            w.running->attempt > 1 || execFailDue(*w.running) ||
+            pending.size() <= slots - workers.size() ||
+            pending.back().attempt > 1 || execFailDue(pending.back()))
+            return;
+        w.queued = pending.back();
+        pending.pop_back();
+        request(w, *w.queued);
+    };
+
+    // Sends run @p p to idle @p w, arms the watchdog, and queues the
+    // next run behind it.
+    auto send = [&](WorkerProc &w, Pending p) {
+        w.running = p;
+        w.deadline = hostSeconds() + timeout_sec;
+        request(w, p);
+        enqueue(w);
     };
 
     // Closing stdin asks the worker to exit; it is reaped at EOF. The
@@ -278,19 +313,32 @@ runWorkloadsSupervised(const SimConfig &cfg,
     auto retire = [&](WorkerProc &w) {
         ::close(w.inFd);
         w.inFd = -1;
-        w.cell.reset();
+        w.running.reset();
         w.deadline = hostSeconds() + timeout_sec;
     };
 
-    // After @p w returned a result: hand it the next run, or retire it.
-    // A worker that produced anything but success is retired so the
-    // next run starts in a clean process, and a run due an exec-fail
-    // injection must go to a fresh spawn.
+    // After @p w returned a result: its queued run is now running, or
+    // it gets the next one, or it retires. A worker that produced
+    // anything but success never starts its queued run, so the next
+    // run starts in a clean process: the queued run goes back to
+    // pending uncharged at once, and the worker, which has nothing
+    // left to do but finish that run's unused trace, is killed. A run
+    // due an exec-fail injection must go to a fresh spawn. After a
+    // success the queued run is running even if the worker is already
+    // dead: it died starting that run.
     auto next = [&](WorkerProc &w, bool last_ok) {
-        if (last_ok && !w.eof && !pending.empty() &&
-            !plan.shouldInject(FaultKind::ExecFail,
-                               names[pending.back().idx],
-                               pending.back().attempt)) {
+        if (!last_ok) {
+            if (w.queued)
+                pending.push_back(*w.queued);
+            w.queued.reset();
+            retire(w);
+            ::kill(w.pid, SIGKILL);
+        } else if (w.queued) {
+            w.running = w.queued;
+            w.queued.reset();
+            enqueue(w);
+        } else if (!w.eof && !pending.empty() &&
+                   !execFailDue(pending.back())) {
             Pending p = pending.back();
             pending.pop_back();
             send(w, p);
@@ -329,8 +377,7 @@ runWorkloadsSupervised(const SimConfig &cfg,
     // worker death. exec-fail injection happens here: the child execs a
     // path that cannot exist, producing the real exit-127 signature.
     auto launch = [&](Pending p) {
-        const bool exec_fail =
-            plan.shouldInject(FaultKind::ExecFail, names[p.idx], p.attempt);
+        const bool exec_fail = execFailDue(p);
         auto w = spawnWorker(
             exec_fail ? "/nonexistent/catchsim-exec-fail-injection" : bin);
         if (!w.ok()) {
@@ -398,7 +445,7 @@ runWorkloadsSupervised(const SimConfig &cfg,
                     auto res = parseWorkerResult(frame);
                     if (!res.ok()) {
                         protocolFault(w, res.error().message);
-                    } else if (!w.cell) {
+                    } else if (!w.running) {
                         protocolFault(w, "result frame with no request "
                                          "in flight");
                     } else {
@@ -407,15 +454,16 @@ runWorkloadsSupervised(const SimConfig &cfg,
                         // this run.
                         RunOutcome out = std::move(res).value();
                         const bool ok = out.ok();
-                        if (w.processAttempt > 1 && ok) {
+                        const Pending run = *w.running;
+                        if (run.attempt > 1 && ok) {
                             // Restarts promote Ok to Retried so
                             // campaign summaries reflect the recovery;
                             // the SimResult payload itself is
                             // untouched (bitwise identity).
                             out.status = RunStatus::Retried;
-                            out.attempts = w.processAttempt;
+                            out.attempts = run.attempt;
                         }
-                        commit(*w.cell, std::move(out));
+                        commit(run.idx, std::move(out));
                         next(w, ok);
                     }
                 }
@@ -442,8 +490,12 @@ runWorkloadsSupervised(const SimConfig &cfg,
             if (w.inFd >= 0)
                 ::close(w.inFd);
             ::close(w.outFd);
-            if (w.cell)
-                failOrRetry(*w.cell, w.processAttempt,
+            // A queued run never started: it goes back to pending
+            // uncharged, under any restart of the running run.
+            if (w.queued)
+                pending.push_back(*w.queued);
+            if (w.running)
+                failOrRetry(w.running->idx, w.running->attempt,
                             deathCause(w, wstatus,
                                        opts.heartbeatTimeoutMs));
             workers.erase(workers.begin() + static_cast<ptrdiff_t>(i));

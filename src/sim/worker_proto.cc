@@ -5,7 +5,10 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/fault_inject.hh"
@@ -343,6 +346,131 @@ class Heartbeat
     std::thread thread_; ///< last: starts after the members it uses
 };
 
+/**
+ * Reads one request frame from stdin on a helper thread and, once it
+ * parses, builds that run's trace there as well (PreparedTrace), so the
+ * trace is ready when the run starts. The worker starts the next one as
+ * soon as the current run has passed its fault checks: run N+1's read
+ * and trace build then overlap run N's simulation. request() waits for
+ * the frame only; takeTrace() waits for the whole job.
+ */
+class RequestAhead
+{
+  public:
+    /** What the frame held: a request, nullopt on a clean EOF at a
+     *  frame boundary, or the internal error to fail the run with. */
+    using Incoming = Expected<std::optional<WorkerRequest>>;
+
+    explicit RequestAhead(ChunkStore *store)
+        : thread_([this, store] { work(store); })
+    {
+    }
+
+    ~RequestAhead()
+    {
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+    RequestAhead(const RequestAhead &) = delete;
+    RequestAhead &operator=(const RequestAhead &) = delete;
+
+    /** Waits for the frame; call once. */
+    Incoming request() { return incoming_.get_future().get(); }
+
+    /** Waits for the trace; nullopt if the request was unusable or named
+     *  no known workload (the run then reports the error itself). */
+    std::optional<PreparedTrace>
+    takeTrace()
+    {
+        thread_.join();
+        return std::move(trace_);
+    }
+
+  private:
+    void
+    work(ChunkStore *store)
+    {
+        auto raw = readFrame(STDIN_FILENO);
+        if (!raw.ok()) {
+            incoming_.set_value(simError(ErrorCategory::Internal,
+                                         "worker could not read its "
+                                         "request: ",
+                                         raw.error().message));
+            return;
+        }
+        if (!raw.value()) {
+            incoming_.set_value(std::optional<WorkerRequest>());
+            return;
+        }
+        auto req = parseWorkerRequest(*raw.value());
+        if (!req.ok()) {
+            incoming_.set_value(simError(ErrorCategory::Internal,
+                                         "worker rejected its request: ",
+                                         req.error().message));
+            return;
+        }
+        const std::string name = req.value().workload;
+        const uint64_t total = req.value().instrs + req.value().warmup;
+        const bool profile = req.value().opts.profile;
+        incoming_.set_value(std::optional<WorkerRequest>(
+            std::move(req).value()));
+        try {
+            trace_ = PreparedTrace::forWorkload(name, total, store,
+                                                profile);
+        } catch (...) {
+            // Left to the run: it builds the trace itself, and
+            // executeContainedRun reports the same exception as that
+            // run's own failure.
+            trace_.reset();
+        }
+    }
+
+    std::promise<Incoming> incoming_;
+    std::optional<PreparedTrace> trace_;
+    std::thread thread_; ///< last: starts after the members it uses
+};
+
+/**
+ * Process-level fault injection, counted by process attempt: a ':xN'
+ * clause crashes the first N dispatches of the run and lets dispatch
+ * N+1 through. Checked when each run starts, so a fault aimed at a
+ * later run still fires in a worker that has already served others.
+ * The plan arrives via the inherited environment.
+ */
+void
+injectProcessFaults(const FaultPlan &plan, const WorkerRequest &r)
+{
+    if (plan.shouldInject(FaultKind::CrashAbort, r.workload,
+                          r.attemptBase))
+        std::abort(); // catch-lint: allow(fatal-boundary) injected crash
+    if (plan.shouldInject(FaultKind::CrashSegv, r.workload, r.attemptBase))
+        raise(SIGSEGV);
+    if (plan.shouldInject(FaultKind::Oom, r.workload, r.attemptBase))
+        raise(SIGKILL); // the OOM killer's signal, without the memory
+    if (plan.shouldInject(FaultKind::HeartbeatStall, r.workload,
+                          r.attemptBase)) {
+        // Silent forever: no heartbeat thread, no result. Only the
+        // supervisor's wall-clock watchdog can end this process.
+        for (;;)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+}
+
+/** Reports a request the worker cannot serve as a failed result;
+ *  returns the worker's exit status, 1. */
+int
+failRequest(const SimError &err)
+{
+    RunOutcome out;
+    out.status = RunStatus::Failed;
+    out.failure.emplace(RunFailure{err, 1});
+    // Best effort: if stdout is also broken there is nobody to tell,
+    // and the supervisor classifies the silent death.
+    (void)writeFrame(STDOUT_FILENO, buildWorkerResult(out));
+    return 1;
+}
+
 } // namespace
 
 int
@@ -353,65 +481,41 @@ workerMain()
     // exit keeps worker diagnostics meaningful.
     signal(SIGPIPE, SIG_IGN);
 
-    auto fail = [](SimError err) {
-        RunOutcome out;
-        out.status = RunStatus::Failed;
-        out.failure = RunFailure{std::move(err), 1};
-        // Best effort: if stdout is also broken there is nobody to
-        // tell, and the supervisor classifies the silent death.
-        (void)writeFrame(STDOUT_FILENO, buildWorkerResult(out));
-        return 1;
-    };
-
+    // Resolved here, before any helper thread starts: the global stores
+    // read the environment on first use (env.hh startup contract).
     const FaultPlan &plan = FaultPlan::global();
+    ChunkStore *store = ChunkStore::global();
+    WarmStateStore *warm_store = WarmStateStore::global();
+
+    auto current = std::make_unique<RequestAhead>(store);
     for (;;) {
-        auto raw = readFrame(STDIN_FILENO);
-        if (!raw.ok())
-            return fail(simError(ErrorCategory::Internal,
-                                 "worker could not read its request: ",
-                                 raw.error().message));
-        if (!raw.value())
+        RequestAhead::Incoming in = current->request();
+        if (!in.ok())
+            return failRequest(in.error());
+        if (!in.value())
             return 0; // stdin closed between requests: no more work
-        auto req = parseWorkerRequest(*raw.value());
-        if (!req.ok())
-            return fail(simError(ErrorCategory::Internal,
-                                 "worker rejected its request: ",
-                                 req.error().message));
-        const WorkerRequest r = std::move(req).value();
+        const WorkerRequest r = std::move(*in.value());
+        injectProcessFaults(plan, r);
 
-        // Process-level fault injection, counted by process attempt: a
-        // ':xN' clause crashes the first N dispatches of the run and
-        // lets dispatch N+1 through. Checked per request, so a fault
-        // aimed at a later run still fires in a worker that has
-        // already served others. The plan arrives via the inherited
-        // environment.
-        if (plan.shouldInject(FaultKind::CrashAbort, r.workload,
-                              r.attemptBase))
-            std::abort(); // catch-lint: allow(fatal-boundary) injected crash
-        if (plan.shouldInject(FaultKind::CrashSegv, r.workload,
-                              r.attemptBase))
-            raise(SIGSEGV);
-        if (plan.shouldInject(FaultKind::Oom, r.workload, r.attemptBase))
-            raise(SIGKILL); // the OOM killer's signal, without the memory
-        if (plan.shouldInject(FaultKind::HeartbeatStall, r.workload,
-                              r.attemptBase)) {
-            // Silent forever: no heartbeat thread, no result. Only the
-            // supervisor's wall-clock watchdog can end this process.
-            for (;;)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-        }
-
+        auto next = std::make_unique<RequestAhead>(store);
         RunOutcome out;
         {
             Heartbeat heartbeat(r.opts.heartbeatMs);
+            std::optional<PreparedTrace> trace = current->takeTrace();
             out = executeContainedRun(r.cfg, r.workload, r.instrs,
-                                      r.warmup, r.opts,
-                                      ChunkStore::global(),
-                                      WarmStateStore::global());
+                                      r.warmup, r.opts, store, warm_store,
+                                      trace ? &*trace : nullptr);
         }
         if (!writeFrame(STDOUT_FILENO, buildWorkerResult(out)).ok())
             return 1;
+        // Anything but success retires this worker: the supervisor puts
+        // a queued request back in its queue, and the next run starts
+        // in a clean process. The supervisor also kills the worker
+        // then, rather than wait while next's destructor lets an
+        // unused trace build finish.
+        if (!out.ok())
+            return 0;
+        current = std::move(next);
     }
 }
 

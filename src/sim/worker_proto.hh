@@ -18,10 +18,15 @@
  * and request frames flow supervisor -> worker on the worker's stdin,
  * one per run: the workload name, instruction counts, the full
  * SimConfig (configToJson) and the containment knobs the worker needs
- * (budget, attempt limits, heartbeat period). A worker serves requests
+ * (budget, attempt limits, heartbeat period). A worker runs requests
  * one at a time — request, heartbeats, result — until the supervisor
  * closes its stdin; a clean EOF at a frame boundary means "no more
- * work" and the worker exits 0. The worker inherits the supervisor's
+ * work" and the worker exits 0. The supervisor may write the next
+ * request before the current result (one queued behind the running
+ * run): while a run simulates, a helper thread reads the next frame
+ * and builds that run's trace (PreparedTrace, sim/simulator.hh).
+ * Results still come back in request order, and after any non-ok
+ * result the worker exits without starting the queued run. The worker inherits the supervisor's
  * environment, so env-driven state (CATCH_FAULT_INJECT, the trace chunk
  * store, sampling knobs) needs no explicit plumbing, and process-wide
  * state (stores, RunProfile::peakRssBytes) accumulates over the runs a
@@ -186,9 +191,13 @@ uint64_t configDigest(const SimConfig &cfg);
  * Entry point of the hidden --worker mode: serves request frames from
  * stdin until a clean EOF, answering each with heartbeats on stdout
  * while executing the run via executeContainedRun (the same unit of
- * work the in-process executor uses) and then one result frame.
- * Returns 0 on a clean EOF, 1 when a request cannot be read or parsed
- * or stdout breaks. Never touches journals or result stores —
+ * work the in-process executor uses) and then one result frame. The
+ * next request is read, and its trace built, on a helper thread while
+ * the current run simulates; process-level fault checks and config
+ * validation still happen when that run starts. Returns 0 on a clean
+ * EOF or after a non-ok result (the queued request, if any, is left
+ * to the supervisor), 1 when a request cannot be read or parsed or
+ * stdout breaks. Never touches journals or result stores —
  * persistence is the supervisor's job, so a SIGKILLed worker cannot
  * leave half-written campaign state behind.
  */

@@ -6,7 +6,10 @@
  * injected worker crashes/hangs/exec failures become typed Crashed
  * outcomes in their own slots, bounded restarts recover transient
  * crashes, and the frame decoder survives fuzzing (truncated frames,
- * garbage length prefixes, malformed payloads).
+ * garbage length prefixes, malformed payloads). A worker builds its
+ * queued run's trace while the running one simulates; the tests pin
+ * that a queued run is never charged for its neighbour's failure and
+ * that a prepared trace simulates bitwise like one built in the run.
  *
  * This binary doubles as its own worker executable: main() dispatches
  * --worker to workerMain() before gtest initialises, exactly like the
@@ -22,19 +25,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/fault_inject.hh"
 #include "sim/configs.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/simulator.hh"
 #include "sim/supervisor.hh"
 #include "sim/worker_proto.hh"
 #include "sim_result_compare.hh"
+#include "trace/suite.hh"
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -47,6 +57,10 @@ constexpr uint64_t kInstr = 20000;
 constexpr uint64_t kWarm = 5000;
 
 const FaultPlan kNoFaults;
+
+/** Set to 1 in a worker's environment, it makes this binary's --worker
+ *  mode run diesIfQueuedWorker instead of workerMain. */
+constexpr char kDiesIfQueuedEnv[] = "CATCH_TEST_WORKER_DIES_IF_QUEUED";
 
 /** Scoped CATCH_FAULT_INJECT for the workers this test forks. */
 struct EnvGuard
@@ -316,6 +330,150 @@ TEST(WorkerProto, RequestRoundTripCarriesTheKnobs)
     auto bad = parseWorkerRequest("{\"type\":\"request\"}");
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().category, ErrorCategory::Config);
+}
+
+/**
+ * Serves @p names with a worker of this binary, writing every request
+ * frame before reading any result, then closing its stdin. Returns the
+ * result frames in arrival order; @p exit_code gets the worker's exit
+ * status.
+ */
+std::vector<RunOutcome>
+serveAllAtOnce(const SimConfig &cfg, const std::vector<std::string> &names,
+               int *exit_code)
+{
+    std::vector<RunOutcome> results;
+    int to_worker[2];
+    int from_worker[2];
+    EXPECT_EQ(::pipe(to_worker), 0);
+    EXPECT_EQ(::pipe(from_worker), 0);
+    const pid_t pid = ::fork();
+    EXPECT_GE(pid, 0);
+    if (pid == 0) {
+        ::dup2(to_worker[0], STDIN_FILENO);
+        ::dup2(from_worker[1], STDOUT_FILENO);
+        for (int fd : {to_worker[0], to_worker[1], from_worker[0],
+                       from_worker[1]})
+            ::close(fd);
+        char self[] = "/proc/self/exe";
+        char flag[] = "--worker";
+        char *argv[] = {self, flag, nullptr};
+        ::execv(self, argv);
+        ::_exit(127);
+    }
+    ::close(to_worker[0]);
+    ::close(from_worker[1]);
+    for (const std::string &name : names)
+        EXPECT_TRUE(writeFrame(to_worker[1],
+                               buildWorkerRequest(cfg, name, kInstr, kWarm,
+                                                  1, fastOpts()))
+                        .ok());
+    ::close(to_worker[1]);
+
+    for (;;) {
+        auto frame = readFrame(from_worker[0]);
+        EXPECT_TRUE(frame.ok());
+        if (!frame.ok() || !frame.value())
+            break;
+        if (isHeartbeatFrame(*frame.value()))
+            continue;
+        auto res = parseWorkerResult(*frame.value());
+        EXPECT_TRUE(res.ok());
+        if (res.ok())
+            results.push_back(std::move(res).value());
+    }
+    ::close(from_worker[0]);
+    int wstatus = 0;
+    EXPECT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    *exit_code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    return results;
+}
+
+TEST(WorkerProto, TwoRequestsWrittenAheadComeBackInOrder)
+{
+    // The supervisor may queue a second request before the first
+    // result: both are answered, in request order, and the worker
+    // exits 0 at the EOF that follows.
+    const std::vector<std::string> names = {"omnetpp", "mcf"};
+    SimConfig cfg = withCatch(baselineSkx());
+    int code = -1;
+    auto results = serveAllAtOnce(cfg, names, &code);
+    EXPECT_EQ(code, 0);
+
+    auto inproc = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
+                                       fastOpts());
+    ASSERT_EQ(results.size(), names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(results[i].workload, names[i]);
+        ASSERT_TRUE(results[i].ok()) << names[i];
+        expectBitwiseEqual(inproc[i].result, results[i].result);
+    }
+}
+
+TEST(WorkerProto, FailedRunEndsTheWorkerBeforeItsQueuedRequest)
+{
+    // After a non-ok result the worker exits 0 without starting the
+    // request queued behind it: the supervisor has put that run back
+    // in its queue, for a fresh worker.
+    int code = -1;
+    auto results = serveAllAtOnce(baselineSkx(),
+                                  {"no-such-workload", "mcf"}, &code);
+    EXPECT_EQ(code, 0);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].workload, "no-such-workload");
+    EXPECT_EQ(results[0].status, RunStatus::Failed);
+}
+
+// ------------------------ prepared traces ------------------------
+
+/** Runs @p name on @p cfg twice, once on a trace built ahead on
+ *  another thread; both results must serialise identically. */
+void
+expectPreparedMatchesBuilt(const SimConfig &cfg, const std::string &name,
+                           uint64_t instrs, uint64_t warmup)
+{
+    Simulator sim(cfg);
+    auto wl = makeWorkload(name);
+    auto built = sim.runGuarded(*wl, instrs, warmup, RunBudget::unlimited());
+    ASSERT_TRUE(built.ok()) << name;
+
+    std::optional<PreparedTrace> trace;
+    std::thread helper([&] {
+        trace = PreparedTrace::forWorkload(name, instrs + warmup,
+                                           ChunkStore::global(), true);
+    });
+    helper.join();
+    ASSERT_TRUE(trace.has_value()) << name;
+    RunProfile prof;
+    auto ahead = sim.runGuarded(*trace, instrs, warmup,
+                                RunBudget::unlimited(), &prof);
+    ASSERT_TRUE(ahead.ok()) << name;
+    EXPECT_EQ(built.value().toJson(), ahead.value().toJson())
+        << cfg.name << " " << name;
+    EXPECT_GT(prof.traceGenSec, 0.0) << "the trace built ahead counts";
+}
+
+TEST(PreparedTrace, MatchesBuildingTheTraceInTheRun)
+{
+    // The worker builds a queued run's trace on another thread before
+    // the run starts; the run must not be able to tell. Every quick
+    // entry, both hierarchy shapes, detailed and sampled.
+    auto sampled = [](SimConfig c) {
+        c.sampling.mode = SampleMode::Sampled;
+        c.sampling.intervalInstrs = 5000;
+        return c;
+    };
+    const SimConfig skx = baselineSkx();
+    const SimConfig no_l2 = withCatch(noL2(baselineSkx(), 9728));
+    for (const SimConfig &cfg : {skx, no_l2, sampled(skx), sampled(no_l2)})
+        for (const std::string &name : stQuickNames())
+            expectPreparedMatchesBuilt(cfg, name, kInstr, kWarm);
+    // Past the primed ring: the run refills the prepared stream itself.
+    expectPreparedMatchesBuilt(no_l2, "mcf", 200000, kWarm);
+
+    EXPECT_FALSE(PreparedTrace::forWorkload("no-such-workload", 1,
+                                            ChunkStore::global(), false)
+                     .has_value());
 }
 
 // --------------------- supervised execution ----------------------
@@ -633,6 +791,202 @@ TEST(Supervisor, ExecFailureFiresOnALaterDispatch)
     EXPECT_TRUE(out[2].ok());
 }
 
+// ------------------------- queued runs --------------------------
+//
+// At jobs=1 with equal cost estimates the last name dispatches first,
+// and the name before it is queued behind it at once, when the worker
+// is spawned.
+
+TEST(Supervisor, CrashChargesOnlyTheRunningRunNotTheQueuedOne)
+{
+    EnvGuard fault("CATCH_FAULT_INJECT", "crash-abort:mcf");
+    const std::vector<std::string> names = {"hmmer", "mcf"};
+    SimConfig cfg = baselineSkx();
+    IsolationOptions opts = fastOpts();
+    opts.maxAttempts = 2;
+    std::vector<RunOutcome> out;
+    // mcf with hmmer queued, mcf's restart alone, then hmmer.
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               1, opts);
+              }),
+              3u);
+    ASSERT_FALSE(out[1].ok());
+    EXPECT_EQ(out[1].status, RunStatus::Crashed);
+    EXPECT_EQ(out[1].failure->error.category, ErrorCategory::Crashed);
+    EXPECT_EQ(out[1].attempts, 2u);
+
+    ASSERT_TRUE(out[0].ok());
+    EXPECT_EQ(out[0].status, RunStatus::Ok);
+    EXPECT_EQ(out[0].attempts, 1u) << "the queued run was not charged";
+    auto clean = runWorkloadsIsolated(cfg, {"hmmer"}, kInstr, kWarm, 1);
+    expectBitwiseEqual(clean[0].result, out[0].result);
+}
+
+TEST(Supervisor, HeartbeatStallChargesOnlyTheRunningRun)
+{
+    EnvGuard fault("CATCH_FAULT_INJECT", "heartbeat-stall:mcf");
+    const std::vector<std::string> names = {"hmmer", "mcf"};
+    SimConfig cfg = baselineSkx();
+    IsolationOptions opts = fastOpts();
+    opts.heartbeatTimeoutMs = 1000;
+    std::vector<RunOutcome> out;
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               1, opts);
+              }),
+              2u);
+    ASSERT_FALSE(out[1].ok());
+    EXPECT_EQ(out[1].status, RunStatus::Crashed);
+    EXPECT_EQ(out[1].failure->error.category,
+              ErrorCategory::HeartbeatTimeout);
+    EXPECT_EQ(out[1].attempts, 1u);
+
+    ASSERT_TRUE(out[0].ok());
+    EXPECT_EQ(out[0].status, RunStatus::Ok);
+    EXPECT_EQ(out[0].attempts, 1u);
+    auto clean = runWorkloadsIsolated(cfg, {"hmmer"}, kInstr, kWarm, 1);
+    expectBitwiseEqual(clean[0].result, out[0].result);
+}
+
+TEST(Supervisor, InBandFailureSendsTheQueuedRunToAFreshWorker)
+{
+    // omnetpp fails in band with mcf queued: its worker exits without
+    // starting mcf, and mcf, then hmmer queued behind it, run in one
+    // fresh worker.
+    EnvGuard fault("CATCH_FAULT_INJECT", "trace-corrupt:omnetpp");
+    const std::vector<std::string> names = {"hmmer", "mcf", "omnetpp"};
+    SimConfig cfg = baselineSkx();
+    std::vector<RunOutcome> out;
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               1, fastOpts());
+              }),
+              2u);
+    ASSERT_FALSE(out[2].ok());
+    EXPECT_EQ(out[2].status, RunStatus::Failed);
+    EXPECT_EQ(out[2].failure->error.category, ErrorCategory::TraceCorrupt);
+
+    auto clean = runWorkloadsIsolated(cfg, {"hmmer", "mcf"}, kInstr,
+                                      kWarm, 1, fastOpts());
+    for (size_t i : {size_t(0), size_t(1)}) {
+        ASSERT_TRUE(out[i].ok()) << names[i];
+        EXPECT_EQ(out[i].status, RunStatus::Ok);
+        EXPECT_EQ(out[i].attempts, 1u);
+        expectBitwiseEqual(clean[i].result, out[i].result);
+    }
+}
+
+TEST(Supervisor, FreeSlotsStartRunsInsteadOfQueueingThem)
+{
+    // A run is queued only when no free slot could start it: three runs
+    // at jobs=4 get three workers, and at jobs=2 the third run waits
+    // behind one of two.
+    const std::vector<std::string> names = {"mcf", "hmmer", "omnetpp"};
+    SimConfig cfg = baselineSkx();
+    auto inproc = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
+                                       fastOpts());
+    for (unsigned jobs : {4u, 2u}) {
+        std::vector<RunOutcome> out;
+        EXPECT_EQ(spawnsDuring([&] {
+                      out = runWorkloadsSupervised(cfg, names, kInstr,
+                                                   kWarm, jobs, fastOpts());
+                  }),
+                  std::min<uint64_t>(jobs, names.size()))
+            << "jobs=" << jobs;
+        for (size_t i = 0; i < names.size(); ++i) {
+            ASSERT_TRUE(out[i].ok()) << names[i];
+            EXPECT_EQ(out[i].status, RunStatus::Ok);
+            expectBitwiseEqual(inproc[i].result, out[i].result);
+        }
+    }
+}
+
+TEST(Supervisor, ADeathWithARunQueuedNeverEndsTheRunningRunsLastAttempt)
+{
+    // The stand-in worker dies whenever a request is queued behind its
+    // running run, as a worker would that crashed while preparing the
+    // queued run. The death is charged to the running run, so with a
+    // single attempt nothing is queued: every run succeeds in one
+    // worker.
+    EnvGuard dies(kDiesIfQueuedEnv, "1");
+    const std::vector<std::string> names = {"hmmer", "mcf", "omnetpp"};
+    SimConfig cfg = baselineSkx();
+    auto clean = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
+                                      fastOpts());
+    IsolationOptions opts = fastOpts();
+    opts.maxAttempts = 1;
+    std::vector<RunOutcome> out;
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               1, opts);
+              }),
+              1u);
+    for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(out[i].ok()) << names[i];
+        EXPECT_EQ(out[i].status, RunStatus::Ok);
+        EXPECT_EQ(out[i].attempts, 1u);
+        expectBitwiseEqual(clean[i].result, out[i].result);
+    }
+
+    // With a restart left, runs are queued. omnetpp and then mcf each
+    // die with the next run queued, are charged, and restart alone, so
+    // they end Retried, never Crashed; hmmer runs last, with nothing
+    // queued behind it. Three workers: omnetpp's (with mcf queued),
+    // omnetpp's restart (which then runs mcf, with hmmer queued), and
+    // mcf's restart (which then runs hmmer).
+    opts.maxAttempts = 2;
+    EXPECT_EQ(spawnsDuring([&] {
+                  out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                               1, opts);
+              }),
+              3u);
+    for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(out[i].ok()) << names[i];
+        const bool last = names[i] == "hmmer";
+        EXPECT_EQ(out[i].status, last ? RunStatus::Ok : RunStatus::Retried)
+            << names[i];
+        EXPECT_EQ(out[i].attempts, last ? 1u : 2u) << names[i];
+        expectBitwiseEqual(clean[i].result, out[i].result);
+    }
+}
+
+/**
+ * The --worker mode main() runs when kDiesIfQueuedEnv is set: a stand-in
+ * for workerMain that serves each request in turn and aborts if another
+ * request arrives before it has written the current run's result, that
+ * is, if the supervisor queued one. It models the worst case of a
+ * worker dying while it prepares a queued run, which the real worker
+ * cannot be made to do on demand. It sends no heartbeats, so runs must
+ * stay well inside the watchdog's budget.
+ */
+int
+diesIfQueuedWorker()
+{
+    for (;;) {
+        auto raw = readFrame(STDIN_FILENO);
+        if (!raw.ok())
+            return 1;
+        if (!raw.value())
+            return 0;
+        auto req = parseWorkerRequest(*raw.value());
+        if (!req.ok())
+            return 1;
+        const WorkerRequest &r = req.value();
+        RunOutcome out = executeContainedRun(r.cfg, r.workload, r.instrs,
+                                             r.warmup, r.opts,
+                                             ChunkStore::global());
+        // A queued request is written right after the running one, so
+        // it is waiting by now; the grace period covers a supervisor
+        // descheduled between the two writes.
+        pollfd in{STDIN_FILENO, POLLIN, 0};
+        if (::poll(&in, 1, 200) == 1 && (in.revents & POLLIN))
+            std::abort();
+        if (!writeFrame(STDOUT_FILENO, buildWorkerResult(out)).ok())
+            return 1;
+    }
+}
+
 } // namespace
 } // namespace catchsim
 
@@ -645,7 +999,9 @@ int
 main(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "--worker") == 0)
-        return catchsim::workerMain();
+        return catchsim::envFlag(catchsim::kDiesIfQueuedEnv)
+                   ? catchsim::diesIfQueuedWorker()
+                   : catchsim::workerMain();
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }

@@ -44,8 +44,10 @@
  *                               same journal re-executes only runs that
  *                               did not finish successfully
  *   --isolate                   run simulations in worker processes
- *                               (one per job, reused across runs) under
- *                               the wall-clock supervisor
+ *                               (one per job, reused across runs; each
+ *                               builds its next run's trace while the
+ *                               current run simulates) under the
+ *                               wall-clock supervisor
  *                               (sim/supervisor.hh): a crash or hang in
  *                               one run becomes a typed failure in its
  *                               slot instead of killing the campaign.

@@ -29,7 +29,9 @@
 #      bitwise-identical to clean, and the same campaign without the
 #      crash is byte-identical to the in-process clean export;
 #   7. exec-fail and heartbeat-stall cells exit 2 (typed at the unit
-#      level; here the exit-code contract is what is pinned);
+#      level; here the exit-code contract is what is pinned), and at
+#      jobs=1 a heartbeat stall of a run with another queued behind it
+#      loses only the stalled run;
 #   8. an OOM-killed campaign with --journal + --result-store exits 2,
 #      and the resumed rerun re-executes only the dead cell, exits 0,
 #      bitwise-identical to clean;
@@ -183,8 +185,9 @@ cmp "$WORK/clean.json" "$WORK/iso1.json"
 
 echo "== a crash mid-queue in a persistent worker (jobs=1) =="
 # Longest-first at jobs=1 serves tpcc, hpc.stream, then milc: milc
-# crashes in a worker that already returned two runs, and the four
-# runs after it go to a fresh worker.
+# crashes in a worker that already returned two runs. A run the
+# supervisor had queued behind milc goes back to the queue uncharged,
+# and the four runs after milc go to a fresh worker.
 run_expect 2 env "${ISO_ENV[@]}" CATCH_FAULT_INJECT='crash-segv:milc' \
     "$CLI" "${ARGS[@]}" --isolate --jobs=1 \
     --json="$WORK/crash_mid.json" "${NAMES[@]}"
@@ -199,6 +202,17 @@ run_expect 2 env "${ISO_ENV[@]}" \
     CATCH_FAULT_INJECT='heartbeat-stall:mcf' \
     CATCH_HEARTBEAT_TIMEOUT_MS=2000 \
     "$CLI" "${ARGS[@]}" --isolate --jobs=8 "${NAMES[@]}"
+# At jobs=1 milc starts with the next run queued behind it. The
+# watchdog kills the worker and charges milc alone; the queued run
+# goes back to the queue uncharged and runs in a fresh worker.
+run_expect 2 env "${ISO_ENV[@]}" \
+    CATCH_FAULT_INJECT='heartbeat-stall:milc' \
+    CATCH_HEARTBEAT_TIMEOUT_MS=2000 \
+    "$CLI" "${ARGS[@]}" --isolate --jobs=1 \
+    --json="$WORK/stall_mid.json" "${NAMES[@]}"
+python3 "$HERE/check_fault_matrix.py" \
+    --clean "$WORK/clean.json" --crashed "$WORK/stall_mid.json" \
+    --injected milc
 
 echo "== OOM-killed campaign resumes through journal + store =="
 run_expect 2 env "${ISO_ENV[@]}" CATCH_FAULT_INJECT='oom:mcf' \
