@@ -29,7 +29,7 @@
  * Usage:
  *   bench_perf [--out=FILE] [--reps=N] [--instr=N] [--warmup=N]
  *              [--mode=detailed|sampled] [--store=off|cold|warm]
- *              [--warm-state=off|cold|warm] [--warm-windows=on|off]
+ *              [--warm-state=off|cold|warm]
  *              [--sample-interval=N] [--quick]
  *
  * --store measures the memoized-generation pipeline (trace/chunk_store):
@@ -53,12 +53,10 @@
  * accepted but changes nothing. Results stay bitwise-identical in all
  * settings (pinned by tests/warm_state_test.cc).
  *
- * --warm-windows toggles the store's per-window mode (default on):
- * "on" consults and publishes at every sampling-window boundary — the
- * phase-2 store — so a warm rep fast-forwards snapshot to snapshot and
- * executes only detailed windows; "off" reproduces the phase-1 store
- * (global-warmup boundary only) for A/B measurement. The store's
- * profitability gates stay at their defaults, so cells whose schedule
+ * The store consults and publishes at every sampling-window boundary
+ * too, so a warm rep fast-forwards snapshot to snapshot and executes
+ * only detailed windows. The store's profitability gates stay at their
+ * defaults, so cells whose schedule
  * slack sits under CATCH_WARM_STATE_MIN_GAP (the 20k-instr default
  * schedule) or whose page map exceeds CATCH_WARM_STATE_MAX_PAGES
  * (hpc.stream) report zero window traffic by design — the bench
@@ -219,7 +217,6 @@ main(int argc, char **argv)
     bool sampled = false;
     std::string store_mode = "off";
     std::string warm_state_mode = "off";
-    bool warm_windows = true;
     uint64_t sample_interval = 0; // 0 = SamplingConfig default
 
     for (int i = 1; i < argc; ++i) {
@@ -262,17 +259,6 @@ main(int argc, char **argv)
                                      "off, cold, or warm\n");
                 return 2;
             }
-        } else if (arg.rfind("--warm-windows=", 0) == 0) {
-            std::string v = value();
-            if (v == "on") {
-                warm_windows = true;
-            } else if (v == "off") {
-                warm_windows = false;
-            } else {
-                std::fprintf(stderr, "bench_perf: --warm-windows must "
-                                     "be on or off\n");
-                return 2;
-            }
         } else if (arg.rfind("--sample-interval=", 0) == 0) {
             sample_interval = std::strtoull(value().c_str(), nullptr, 10);
             if (sample_interval == 0) {
@@ -289,7 +275,6 @@ main(int argc, char **argv)
                          "[--mode=detailed|sampled] "
                          "[--store=off|cold|warm] "
                          "[--warm-state=off|cold|warm] "
-                         "[--warm-windows=on|off] "
                          "[--sample-interval=N] [--quick]\n");
             return 2;
         }
@@ -324,8 +309,8 @@ main(int argc, char **argv)
         }
         // Long-warming regime: with a 100k interval nearly the whole
         // trace span is functional warming, which is exactly what the
-        // window-boundary snapshots memoize — the cell that separates
-        // phase 2 from phase 1.
+        // window-boundary snapshots memoize — the cell where the window
+        // gate opens.
         if (warm_state_mode != "off") {
             SimConfig lw = withCatch(baselineSkx());
             lw.sampling.mode = SampleMode::Sampled;
@@ -352,13 +337,10 @@ main(int argc, char **argv)
                 warm_store = std::make_unique<ChunkStore>();
             // Same sharing discipline for the warmed-state store: the
             // untimed warm rep publishes the snapshots a "warm" cell's
-            // timed reps restore. --warm-windows picks between the
-            // phase-2 (per-window) and phase-1 (global-only) store.
-            WarmStateStore::Config wcfg;
-            wcfg.perWindow = warm_windows;
+            // timed reps restore.
             std::unique_ptr<WarmStateStore> warm_state_store;
             if (warm_state_mode == "warm")
-                warm_state_store = std::make_unique<WarmStateStore>(wcfg);
+                warm_state_store = std::make_unique<WarmStateStore>();
             timedRep(cfg, name, instrs, warmup, warm_store.get(),
                      warm_state_store.get()); // warm, untimed
             for (unsigned r = 0; r < reps; ++r) {
@@ -370,8 +352,7 @@ main(int argc, char **argv)
                                         : cold_store.get();
                 std::unique_ptr<WarmStateStore> cold_state_store;
                 if (warm_state_mode == "cold")
-                    cold_state_store =
-                        std::make_unique<WarmStateStore>(wcfg);
+                    cold_state_store = std::make_unique<WarmStateStore>();
                 WarmStateStore *wstate =
                     warm_state_mode == "warm" ? warm_state_store.get()
                                               : cold_state_store.get();
@@ -423,8 +404,6 @@ main(int argc, char **argv)
                       (sampled ? "sampled" : "detailed") +
                       "\", \"store\": \"" + store_mode +
                       "\", \"warm_state\": \"" + warm_state_mode +
-                      "\", \"warm_windows\": \"" +
-                      (warm_windows ? "on" : "off") +
                       "\", \"sample_interval\": " +
                       std::to_string(sample_interval) +
                       ", \"results\": [\n";

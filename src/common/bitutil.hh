@@ -6,6 +6,7 @@
 #ifndef CATCHSIM_COMMON_BITUTIL_HH_
 #define CATCHSIM_COMMON_BITUTIL_HH_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace catchsim
@@ -97,6 +98,18 @@ hashPc(uint64_t pc, uint32_t bits)
         h >>= bits;
     }
     return folded;
+}
+
+/** Incremental 64-bit FNV-1a over @p n bytes; chain via @p h. */
+inline uint64_t
+fnv1a(const void *data, size_t n, uint64_t h = 1469598103934665603ULL)
+{
+    const auto *p = static_cast<const uint8_t *>(data);
+    for (size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
 }
 
 } // namespace catchsim

@@ -100,7 +100,7 @@ struct SimError
     bool transient() const { return category == ErrorCategory::IoTransient; }
 };
 
-/** The "error" object of result frames, journal records and exports. */
+/** The "error" object of result frames and exports. */
 template <FieldsOf<SimError> E, typename V>
 void
 forEachField(E &e, V &v)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal JSON support for results, worker frames, result-store
- * records and the suite journal: an append-only writer with
+ * Minimal JSON support for results, worker frames and result-store
+ * records: an append-only writer with
  * deterministic field order, a small recursive-descent parser for the
  * subset the writer emits (objects, arrays, strings, numbers, booleans,
  * null), and one checked reader. The writer and the reader are also
@@ -11,9 +11,8 @@
  *
  * Round-trip contract: u64 counters are written as decimal integers and
  * parsed back exactly; doubles are written with %.17g, which is enough
- * digits to reproduce the bit pattern on read-back. The journal's
- * skip-finished-runs logic and the byte-identical export goldens rest
- * on this.
+ * digits to reproduce the bit pattern on read-back. Store-served runs
+ * and the byte-identical export goldens rest on this.
  */
 
 #ifndef CATCHSIM_COMMON_JSON_HH_
@@ -337,8 +336,8 @@ class JsonReader
 /**
  * Parses one complete JSON document. Trailing garbage, truncation and
  * malformed syntax all return a trace-corrupt SimError naming the
- * offset, never UB — the journal loader depends on half-written last
- * records being rejected cleanly.
+ * offset, never UB — result-store and worker-frame readers depend on
+ * damaged documents being rejected cleanly.
  */
 Expected<JsonValue> parseJson(const std::string &text);
 

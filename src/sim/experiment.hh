@@ -12,14 +12,13 @@
  *                    are bitwise-identical for any job count.
  *   CATCH_JSON=DIR   also write one machine-readable JSON file per
  *                    runSuite() call into DIR (see writeSuiteJson)
- *   CATCH_JOURNAL=DIR  checkpoint finished runs to DIR/journal.jsonl
- *                    and resume them on restart (see sim/journal.hh)
  *   CATCH_ISOLATE=1  run simulations in worker processes (one per job,
  *                    reused across runs) under the wall-clock
  *                    supervisor (sim/supervisor.hh)
  *   CATCH_RESULT_STORE=DIR  content-hashed incremental result store:
  *                    unchanged (config, workload, length) cells are
- *                    served from DIR instead of re-executing
+ *                    served from DIR instead of re-executing, so a
+ *                    rerun resumes an interrupted campaign
  *                    (sim/result_store.hh)
  *   CATCH_TRACE_STORE=1 / CATCH_TRACE_CACHE=DIR / CATCH_TRACE_STORE_MB
  *                    memoized trace-chunk store: in-memory (and, with
@@ -62,8 +61,6 @@ struct ExperimentEnv
     unsigned jobs = 1;
     /** Directory for per-suite JSON exports; empty disables them. */
     std::string jsonDir;
-    /** Directory for the resume journal; empty disables it. */
-    std::string journalDir;
     /** Directory for the content-hashed result store; empty disables
      *  it (CATCH_RESULT_STORE). */
     std::string resultStoreDir;
@@ -81,13 +78,12 @@ struct ExperimentEnv
  * env.names[i] and is bitwise-identical regardless of the job count;
  * failed runs occupy their own slots as structured failures instead of
  * aborting the campaign. Prints one progress mark per run ('.' ok,
- * 'r' retried, 'F' failed, 'T' timed out, 'C' crashed, 's' resumed
- * from journal, 'h' served from the result store), a campaign summary
- * when anything was abnormal, and one warning per failure. When
- * env.journalDir is set, finished runs checkpoint to the journal and a
- * restarted campaign re-executes only unfinished ones. When
- * env.resultStoreDir is set, cells whose content key is already stored
- * replay from the store and fresh successes persist back to it. When
+ * 'r' retried, 'F' failed, 'T' timed out, 'C' crashed, 'h' served
+ * from the result store), a campaign summary when anything was
+ * abnormal, and one warning per failure. When env.resultStoreDir is
+ * set, cells whose content key is already stored replay from the store
+ * and fresh successes persist back to it, so a restarted campaign
+ * re-executes only unfinished runs. When
  * env.isolate is set, runs execute in worker processes (one per job,
  * reused across runs) under the wall-clock supervisor instead of pool
  * threads.
@@ -116,7 +112,7 @@ Expected<void> writeSuiteJson(const std::string &path,
                               const std::vector<SimResult> &results);
 
 /**
- * Outcome-aware export: each entry carries status/attempts/resumed and
+ * Outcome-aware export: each entry carries status/attempts/from_store and
  * either the full result or the structured error, preceded by a
  * campaign summary object.
  */

@@ -10,9 +10,7 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "sim/journal.hh"
 #include "sim/result_store.hh"
-#include "sim/worker_proto.hh"
 
 namespace catchsim
 {
@@ -56,8 +54,6 @@ summarizeOutcomes(const std::vector<RunOutcome> &outcomes)
           case RunStatus::TimedOut: ++sum.timedOut; break;
           case RunStatus::Crashed: ++sum.crashed; break;
         }
-        if (o.resumed)
-            ++sum.resumed;
         if (o.fromStore)
             ++sum.storeHits;
         if (o.storeMiss)
@@ -211,56 +207,22 @@ runWorkloadsIsolated(const SimConfig &cfg,
                          &progress)
 {
     std::vector<RunOutcome> outcomes(names.size());
-    std::vector<std::function<void()>> tasks;
-    std::vector<double> cost;
-    tasks.reserve(names.size());
-    cost.reserve(names.size());
     // Resolve the store once on the calling thread: ChunkStore::global()
     // reads the environment on first use, which must not happen
     // concurrently from workers (env.hh startup contract).
     ChunkStore *store = opts.store ? *opts.store : ChunkStore::global();
     WarmStateStore *warm_store =
         opts.warmStore ? *opts.warmStore : WarmStateStore::global();
-    // The result-store key depends only on the run's identity, so the
-    // config digest is shared by every slot of the campaign.
-    uint64_t cfg_digest =
-        opts.resultStore ? configDigest(cfg) : 0;
-    for (size_t i = 0; i < names.size(); ++i) {
-        // Journal replay happens here on the calling thread, before any
-        // worker starts: resumed runs never occupy a worker slot. The
-        // result store is consulted second, under the same rule.
-        if (opts.journal) {
-            RunStatus st = RunStatus::Ok;
-            if (const SimResult *done = opts.journal->find(
-                    cfg.name, names[i], instrs, warmup, &st)) {
-                outcomes[i].workload = names[i];
-                outcomes[i].config = cfg.name;
-                outcomes[i].status = st;
-                outcomes[i].resumed = true;
-                outcomes[i].result = *done;
-                if (progress)
-                    progress(outcomes[i]);
-                continue;
-            }
-        }
-        std::optional<RunKey> key;
-        if (opts.resultStore) {
-            if (auto wl = findWorkload(names[i]); wl.ok())
-                key = RunKey{names[i], wl.value()->seed(), cfg_digest,
-                             instrs, warmup};
-            // Unknown names get no key: they fail fast in their slot
-            // and nothing cacheable ever comes of them.
-            if (key) {
-                if (auto hit = opts.resultStore->find(*key)) {
-                    outcomes[i] = std::move(*hit);
-                    outcomes[i].config = cfg.name;
-                    if (progress)
-                        progress(outcomes[i]);
-                    continue;
-                }
-            }
-        }
-        tasks.push_back([&, i, key, store, warm_store] {
+    // Store hits are served here on the calling thread, before any
+    // worker starts: they never occupy a worker slot.
+    const StorePlan plan(opts.resultStore, cfg, names, instrs, warmup,
+                         outcomes, progress);
+    std::vector<std::function<void()>> tasks;
+    std::vector<double> cost;
+    tasks.reserve(plan.pending().size());
+    cost.reserve(plan.pending().size());
+    for (size_t i : plan.pending()) {
+        tasks.push_back([&, i, store, warm_store] {
             // Fully private run: own workload (re-seeded from its suite
             // entry), own Simulator, own outcome slot. The stores (when
             // present) are shared deliberately — chunks and snapshots
@@ -269,13 +231,7 @@ runWorkloadsIsolated(const SimConfig &cfg,
             outcomes[i] = executeContainedRun(cfg, names[i], instrs,
                                               warmup, opts, store,
                                               warm_store);
-            if (opts.resultStore) {
-                outcomes[i].storeMiss = true;
-                if (key && outcomes[i].ok())
-                    opts.resultStore->put(*key, outcomes[i]);
-            }
-            if (opts.journal)
-                opts.journal->append(outcomes[i], instrs, warmup);
+            plan.commit(i, outcomes[i]);
             if (progress)
                 progress(outcomes[i]);
         });

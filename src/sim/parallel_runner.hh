@@ -13,10 +13,10 @@
  * that fails — thrown exception, corrupt trace, config error, watchdog
  * trip — records a structured RunFailure in its own slot instead of
  * taking the campaign down, transient IO errors retry with a bounded
- * deterministic attempt count, and a SuiteJournal (when attached)
- * resumes finished runs from a previous campaign. Slots of successful
- * runs stay bitwise-identical to a fault-free campaign at any job
- * count.
+ * deterministic attempt count, and a ResultStore (when attached)
+ * serves finished runs from a previous campaign, which is how a
+ * campaign resumes. Slots of successful runs stay bitwise-identical to
+ * a fault-free campaign at any job count.
  *
  * The job count comes from CATCH_JOBS (default: hardware concurrency;
  * 1 restores the exact serial behaviour).
@@ -40,7 +40,6 @@
 namespace catchsim
 {
 
-class SuiteJournal;
 class ResultStore;
 
 /** CATCH_JOBS env knob; default hardware concurrency, minimum 1. */
@@ -82,10 +81,8 @@ struct RunOutcome
     std::string config;
     RunStatus status = RunStatus::Ok;
     unsigned attempts = 1;
-    bool resumed = false; ///< replayed from a journal, not re-executed
     /// Served from the content-hashed result store, not re-executed
-    /// (sim/result_store.hh). Mutually exclusive with resumed: the
-    /// journal is consulted first.
+    /// (sim/result_store.hh); this is how a resumed run shows.
     bool fromStore = false;
     /// Executed while a result store was attached (i.e. the store was
     /// consulted and missed); feeds CampaignSummary::storeMisses.
@@ -93,8 +90,8 @@ struct RunOutcome
     SimResult result;     ///< valid iff ok()
     std::optional<RunFailure> failure; ///< set iff !ok()
     /// Host phase timings + peak RSS; set iff ok() and profiling was
-    /// requested (IsolationOptions::profile). Never journaled: wall
-    /// clock is not reproducible, so resumed runs carry no profile.
+    /// requested (IsolationOptions::profile). Never stored: wall clock
+    /// is not reproducible, so store hits carry no profile.
     std::optional<RunProfile> profile;
 
     bool
@@ -112,7 +109,6 @@ struct CampaignSummary
     uint64_t failed = 0;
     uint64_t timedOut = 0;
     uint64_t crashed = 0; ///< worker processes lost (isolated mode)
-    uint64_t resumed = 0; ///< subset of ok/retried replayed from journal
     uint64_t storeHits = 0;   ///< slots served from the result store
     uint64_t storeMisses = 0; ///< slots executed past a store lookup
 
@@ -161,7 +157,6 @@ struct IsolationOptions
     unsigned maxAttempts = 3; ///< total attempts for transient errors
     unsigned backoffMs = 0;   ///< base sleep between retries (ms)
     bool profile = false;     ///< collect RunProfile per successful run
-    SuiteJournal *journal = nullptr; ///< optional resume/checkpoint
     /// Injection plan override; null = FaultPlan::global(). Lets tests
     /// drive the harness in-process without touching the environment.
     const FaultPlan *plan = nullptr;
@@ -175,8 +170,8 @@ struct IsolationOptions
     /// wins. Resolved once on the calling thread.
     std::optional<WarmStateStore *> warmStore;
     /// Content-hashed result store (sim/result_store.hh); null
-    /// disables it. Consulted after the journal during campaign
-    /// planning; successful fresh executions are persisted back.
+    /// disables it. Consulted during campaign planning (StorePlan);
+    /// successful fresh executions are persisted back.
     ResultStore *resultStore = nullptr;
 
     // Process-isolated execution (sim/supervisor.hh) only:
@@ -193,8 +188,8 @@ struct IsolationOptions
  * @p jobs. Worker exceptions, trace corruption, config errors and
  * watchdog trips are recorded as structured failures in their own
  * slots; transient IO errors retry up to opts.maxAttempts times.
- * When opts.journal is set, runs it already holds are replayed
- * without re-execution and fresh outcomes are appended to it.
+ * When opts.resultStore is set, runs it already holds are served
+ * without re-execution and fresh successes are persisted to it.
  * @p progress (optional) is invoked from workers as runs finish; it
  * must be thread-safe.
  */
@@ -214,7 +209,7 @@ runWorkloadsIsolated(const SimConfig &cfg,
  * threads, and the --worker process (sim/worker_proto.hh) calls it as
  * its whole job — which is what keeps in-process and process-isolated
  * campaigns bitwise-identical. Consults only opts.budget/maxAttempts/
- * backoffMs/profile/plan; journal and stores are the caller's concern.
+ * backoffMs/profile/plan; the result store is the caller's concern.
  * @p prepared (optional) is the run's trace built ahead; only attempt 1
  * runs on it, and a retried attempt builds its trace afresh.
  */

@@ -1,23 +1,23 @@
 #include "sim/result_store.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "common/json.hh"
-#include "common/logging.hh"
+#include "sim/worker_proto.hh"
+#include "trace/suite.hh"
 #include "trace/trace_io.hh"
-
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
 
 namespace catchsim
 {
 
 namespace
 {
+
+constexpr char kResultMagic[6] = {'C', 'R', 'S', 'L', 'T', '\0'};
+/** Bump whenever the payload layout changes. */
+constexpr uint32_t kResultRecordVersion = 1;
 
 void
 hashU64(uint64_t v, uint64_t &h)
@@ -28,12 +28,54 @@ hashU64(uint64_t v, uint64_t &h)
     h = fnv1a(bytes, sizeof(bytes), h);
 }
 
-std::string
-hex16(uint64_t v)
+BlobStore::Key
+recordKey(const RunKey &key)
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
+    JsonWriter id;
+    id.open();
+    forEachField(key, id);
+    id.close();
+    char file[24];
+    std::snprintf(file, sizeof(file), "%016" PRIx64 ".crs", key.hash());
+    return {id.str(), file};
+}
+
+Expected<BlobStore::Value>
+decodeOutcome(const uint8_t *in, size_t n)
+{
+    auto defect = [](const char *why) {
+        return simError(ErrorCategory::TraceCorrupt, why);
+    };
+    auto parsed =
+        parseJson(std::string(reinterpret_cast<const char *>(in), n));
+    if (!parsed.ok())
+        return defect("unparsable record");
+    JsonReader r(parsed.value(), ErrorCategory::TraceCorrupt,
+                 "result-store record");
+    auto out = std::make_shared<RunOutcome>();
+    r.field("status", out->status);
+    r.field("attempts", out->attempts);
+    const JsonValue *result = r.raw("result", JsonValue::Kind::Object);
+    if (r.error())
+        return defect("record with missing or malformed keys");
+    if (!out->ok())
+        return defect("record with a non-success status");
+    auto sim = SimResult::fromJson(*result);
+    if (!sim.ok())
+        return defect("record with a corrupt result payload");
+    out->attempts = std::max(1u, out->attempts);
+    out->fromStore = true;
+    out->result = std::move(sim).value();
+    return BlobStore::Value(std::move(out));
+}
+
+/** A decoded record as the outcome of @p key's run. */
+RunOutcome
+outcomeOf(const RunKey &key, const BlobStore::Value &record)
+{
+    RunOutcome out = *static_cast<const RunOutcome *>(record.get());
+    out.workload = key.workload;
+    return out;
 }
 
 } // namespace
@@ -50,157 +92,100 @@ RunKey::hash() const
     return h;
 }
 
-ResultStore::~ResultStore()
+ResultStore::ResultStore()
+    : blobs_([] {
+          BlobStore::Config c;
+          c.name = "result store";
+          c.magic = kResultMagic;
+          c.version = kResultRecordVersion;
+          c.memoryTier = false;
+          return c;
+      }())
 {
-    if (lockFd_ >= 0)
-        ::close(lockFd_); // releases the flock
 }
+
+ResultStore::~ResultStore() = default;
 
 Expected<std::unique_ptr<ResultStore>>
 ResultStore::open(const std::string &dir)
 {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return simError(ErrorCategory::Config, "cannot create result-"
-                        "store directory '", dir, "': ", ec.message());
-
     // make_unique cannot reach the private ctor.
     std::unique_ptr<ResultStore> s(new ResultStore); // catch-lint: allow(raw-new-delete)
-    s->dir_ = dir;
-
-    std::string lock_path = dir + "/lock";
-    s->lockFd_ = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-                        0644);
-    if (s->lockFd_ < 0)
-        return simError(ErrorCategory::Config, "cannot open result-"
-                        "store lock '", lock_path, "' (errno ", errno,
-                        ")");
-    if (::flock(s->lockFd_, LOCK_EX | LOCK_NB) != 0)
-        return simError(ErrorCategory::Config, "result store '", dir,
-                        "' is locked by another campaign");
+    if (auto disk = s->blobs_.openDisk(dir, /*exclusive=*/true); !disk.ok())
+        return disk.error();
     return s;
-}
-
-std::string
-ResultStore::pathFor(const RunKey &key) const
-{
-    return dir_ + "/" + hex16(key.hash()) + ".json";
 }
 
 std::optional<RunOutcome>
 ResultStore::find(const RunKey &key)
 {
-    const std::string path = pathFor(key);
-    auto miss = [&](const char *why) -> std::optional<RunOutcome> {
-        if (why) {
-            warn("result store '", path, "': ", why,
-                 "; deleting the record");
-            std::remove(path.c_str());
-        }
-        std::lock_guard<std::mutex> guard(mu_);
-        ++misses_;
+    auto hit = blobs_.find(recordKey(key), decodeOutcome);
+    if (!hit)
         return std::nullopt;
-    };
+    return outcomeOf(key, hit);
+}
 
-    std::ifstream in(path);
-    if (!in.is_open())
-        return miss(nullptr); // plain absence: the common cold miss
-    std::string record, checksum;
-    if (!std::getline(in, record) || !std::getline(in, checksum))
-        return miss("truncated record");
-    if (checksum != hex16(fnv1a(record.data(), record.size())))
-        return miss("checksum mismatch (torn write or bit flip?)");
-
-    auto parsed = parseJson(record);
-    if (!parsed.ok())
-        return miss("unparsable record");
-    JsonReader r(parsed.value(), ErrorCategory::TraceCorrupt,
-                 "result-store record");
-    RunKey stored;
-    RunOutcome out;
-    forEachField(stored, r);
-    r.field("status", out.status);
-    r.field("attempts", out.attempts);
-    const JsonValue *result = r.raw("result", JsonValue::Kind::Object);
-    if (r.error())
-        return miss("record with missing or malformed keys");
-    // Hash-collision / stale-rename guard: the record must describe
-    // exactly the key that was asked for.
-    if (!(stored == key))
-        return miss("record for a different key (hash collision?)");
-    if (!out.ok())
-        return miss("record with a non-success status");
-    auto sim = SimResult::fromJson(*result);
-    if (!sim.ok())
-        return miss("record with a corrupt result payload");
-
-    out.workload = key.workload;
-    out.attempts = std::max(1u, out.attempts);
-    out.fromStore = true;
-    out.result = std::move(sim).value();
-    std::lock_guard<std::mutex> guard(mu_);
-    ++hits_;
-    return out;
+Expected<RunOutcome>
+ResultStore::loadDiskChecked(const RunKey &key) const
+{
+    auto loaded = blobs_.load(recordKey(key), decodeOutcome);
+    if (!loaded.ok())
+        return loaded.error();
+    return outcomeOf(key, loaded.value());
 }
 
 void
 ResultStore::put(const RunKey &key, const RunOutcome &out)
 {
     CATCHSIM_ASSERT(out.ok(), "only successful outcomes are stored");
-    JsonWriter w;
-    w.open();
-    forEachField(key, w);
-    w.field("status", out.status);
-    w.field("attempts", out.attempts);
-    w.rawField("result", out.result.toJson());
-    w.close();
+    blobs_.put(recordKey(key), nullptr, [&out](std::vector<uint8_t> &bytes) {
+        JsonWriter w;
+        w.open();
+        w.field("status", out.status);
+        w.field("attempts", out.attempts);
+        w.rawField("result", out.result.toJson());
+        w.close();
+        bytes.insert(bytes.end(), w.str().begin(), w.str().end());
+    });
+}
 
-    const std::string &record = w.str();
-    std::string body = record + "\n" +
-                       hex16(fnv1a(record.data(), record.size())) + "\n";
-
-    uint64_t serial;
-    {
-        std::lock_guard<std::mutex> guard(mu_);
-        serial = ++tmpSerial_;
+StorePlan::StorePlan(ResultStore *store, const SimConfig &cfg,
+                     const std::vector<std::string> &names,
+                     uint64_t instrs, uint64_t warmup,
+                     std::vector<RunOutcome> &outcomes,
+                     const std::function<void(const RunOutcome &)> &progress)
+    : store_(store), keys_(names.size())
+{
+    // The key depends only on the run's identity, so the config digest
+    // is shared by every slot of the campaign.
+    const uint64_t cfg_digest = store ? configDigest(cfg) : 0;
+    for (size_t i = 0; i < names.size(); ++i) {
+        if (store) {
+            if (auto wl = findWorkload(names[i]); wl.ok())
+                keys_[i] = RunKey{names[i], wl.value()->seed(), cfg_digest,
+                                  instrs, warmup};
+            if (keys_[i]) {
+                if (auto hit = store->find(*keys_[i])) {
+                    outcomes[i] = std::move(*hit);
+                    outcomes[i].config = cfg.name;
+                    if (progress)
+                        progress(outcomes[i]);
+                    continue;
+                }
+            }
+        }
+        pending_.push_back(i);
     }
-    const std::string path = pathFor(key);
-    // Unique tmp per write: concurrent puts (pool threads in-process,
-    // or a supervisor racing nobody but itself across campaigns) never
-    // scribble on each other; rename() is the atomic commit.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(serial) + "." +
-        std::to_string(static_cast<uint64_t>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-        warn("result store: cannot open '", tmp, "' for writing; "
-             "record for '", key.workload, "' not persisted");
+}
+
+void
+StorePlan::commit(size_t idx, RunOutcome &out) const
+{
+    if (!store_)
         return;
-    }
-    size_t n = std::fwrite(body.data(), 1, body.size(), f);
-    bool bad = n != body.size() || std::ferror(f) != 0;
-    if (std::fclose(f) != 0)
-        bad = true;
-    if (bad || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        warn("result store: failed writing '", path, "'; record for '",
-             key.workload, "' not persisted");
-    }
-}
-
-uint64_t
-ResultStore::hits() const
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    return hits_;
-}
-
-uint64_t
-ResultStore::misses() const
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    return misses_;
+    out.storeMiss = true;
+    if (keys_[idx] && out.ok())
+        store_->put(*keys_[idx], out);
 }
 
 } // namespace catchsim

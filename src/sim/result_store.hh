@@ -11,29 +11,33 @@
  * the knob invalidates — every unchanged cell is served from the store
  * byte-identically (SimResult round-trips bitwise, common/json.hh).
  *
- * Difference from the SuiteJournal: the journal records one campaign's
- * progress under its config *name* and replays it on resume; the store
- * is cross-campaign and keyed on config *content*, so it survives
- * renames and sweeps. The executor consults the journal first, then
- * the store (sim/parallel_runner.cc).
+ * The store is keyed on config *content*, so it survives renames and
+ * serves any campaign that asks for the same cell. It is also how a
+ * campaign resumes: rerun it with the same store and only the runs that
+ * did not finish successfully execute again (failures are never
+ * stored).
  *
- * Disk discipline follows trace/chunk_store.cc: one file per key
- * (<fnv1a-hex16>.json) holding a single JSON line plus a trailing
- * FNV-1a checksum line, written to a unique tmp name and renamed into
- * place — a killed campaign never leaves a torn record. Corrupt or
- * key-mismatched files are deleted and count as misses. The directory
- * is guarded by a flock'd lock file: a second campaign pointed at the
- * same store fails fast with a config error instead of interleaving.
+ * Records are a codec over common/blob_store.hh: one file per key
+ * (<fnv1a-hex16>.crs) whose key echo is the JSON of the RunKey fields
+ * and whose payload is the status, attempt count and SimResult as one
+ * JSON object, written to a unique temp name and renamed into place —
+ * a killed campaign never leaves a torn record. Corrupt or
+ * key-mismatched files are deleted and count as misses. Unlike the
+ * chunk and snapshot directories, the store directory is guarded by a
+ * flock'd lock file: a second campaign pointed at the same store fails
+ * fast with a config error instead of interleaving.
  */
 
 #ifndef CATCHSIM_SIM_RESULT_STORE_HH_
 #define CATCHSIM_SIM_RESULT_STORE_HH_
 
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "common/blob_store.hh"
 #include "common/error.hh"
 #include "sim/parallel_runner.hh"
 
@@ -85,12 +89,12 @@ class ResultStore
     static Expected<std::unique_ptr<ResultStore>>
     open(const std::string &dir);
 
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return blobs_.diskDir(); }
 
     /**
      * The stored outcome for @p key, or nullopt. A hit arrives with
-     * fromStore set and the journaled Ok/Retried status; the caller
-     * fills the campaign-local config name. Corrupt, truncated or
+     * fromStore set and the stored Ok/Retried status; the caller fills
+     * the campaign-local config name. Corrupt, truncated or
      * key-mismatched records warn, are deleted, and miss. Thread-safe.
      */
     std::optional<RunOutcome> find(const RunKey &key);
@@ -102,20 +106,55 @@ class ResultStore
      */
     void put(const RunKey &key, const RunOutcome &out);
 
-    uint64_t hits() const;
-    uint64_t misses() const;
+    /**
+     * Reads and fully validates @p key's record without touching the
+     * counters: an absent record is a config error, any defect a
+     * trace-corrupt one. find() is the production path; this one lets
+     * tests pin the error taxonomy.
+     */
+    Expected<RunOutcome> loadDiskChecked(const RunKey &key) const;
+
+    uint64_t hits() const { return blobs_.stats().hits; }
+    uint64_t misses() const { return blobs_.stats().misses; }
+    uint64_t puts() const { return blobs_.stats().puts; }
 
   private:
-    ResultStore() = default;
+    ResultStore();
 
-    std::string pathFor(const RunKey &key) const;
+    BlobStore blobs_;
+};
 
-    std::string dir_;
-    int lockFd_ = -1;
-    mutable std::mutex mu_; ///< counters + tmp-name serial
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t tmpSerial_ = 0;
+/**
+ * The planning pre-pass both executors share (runWorkloadsIsolated and
+ * runWorkloadsSupervised). Built on the calling thread before any run
+ * starts, it serves every cell @p store already holds; the executor
+ * runs the rest and hands each outcome to commit().
+ */
+class StorePlan
+{
+  public:
+    /**
+     * Fills outcomes[i] for every store hit, calling @p progress for
+     * each, and keys the remaining slots. A null @p store serves
+     * nothing; an unknown workload gets no key (it fails fast in its
+     * slot, and nothing cacheable comes of it).
+     */
+    StorePlan(ResultStore *store, const SimConfig &cfg,
+              const std::vector<std::string> &names, uint64_t instrs,
+              uint64_t warmup, std::vector<RunOutcome> &outcomes,
+              const std::function<void(const RunOutcome &)> &progress);
+
+    /** Slots left to execute, in index order. */
+    const std::vector<size_t> &pending() const { return pending_; }
+
+    /** Marks executed slot @p idx as a store miss and persists it if it
+     *  succeeded. Thread-safe. */
+    void commit(size_t idx, RunOutcome &out) const;
+
+  private:
+    ResultStore *store_;
+    std::vector<std::optional<RunKey>> keys_;
+    std::vector<size_t> pending_;
 };
 
 } // namespace catchsim

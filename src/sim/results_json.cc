@@ -7,8 +7,8 @@
  *
  * Both directions derive from one field schema, forEachField below:
  * toJson() covers every counter SimResult carries and fromJson() parses
- * it back bitwise-exactly (exact u64, %.17g doubles); the suite journal
- * and the result store rest on this round trip. Suite documents are
+ * it back bitwise-exactly (exact u64, %.17g doubles); the result store
+ * and the worker frames rest on this round trip. Suite documents are
  * written atomically: the full document goes to <path>.tmp, which is
  * renamed over <path> only after a verified complete write — a crashed
  * export never leaves a half-written file behind.
@@ -299,7 +299,6 @@ writeSuiteJson(const std::string &path, const SimConfig &cfg,
     head.field("failed", sum.failed);
     head.field("timed_out", sum.timedOut);
     head.field("crashed", sum.crashed);
-    head.field("resumed", sum.resumed);
     head.field("store_hits", sum.storeHits);
     head.field("store_misses", sum.storeMisses);
     head.close();
@@ -314,7 +313,6 @@ writeSuiteJson(const std::string &path, const SimConfig &cfg,
         w.field("workload", o.workload);
         w.field("status", o.status);
         w.field("attempts", o.attempts);
-        w.field("resumed", o.resumed);
         w.field("from_store", o.fromStore);
         if (o.ok()) {
             hostPerfField(w, o.profile);

@@ -296,8 +296,7 @@ Simulator::runGuarded(PreparedTrace &prepared, uint64_t instrs,
         // cursor instead of re-deriving it. Eligibility requires the
         // chunk store (the stream restore re-fetches its ring window
         // through it) and a nonzero warmup (nothing to memoize
-        // otherwise); window-boundary keys additionally require the
-        // store's per-window mode (off reproduces phase 1) and a
+        // otherwise); window-boundary keys additionally require a
         // schedule whose inter-window slack amortizes the restore — a
         // window restore costs a near-constant blob parse + O(pages)
         // map adoption, so short-slack schedules re-warm faster than
@@ -308,7 +307,6 @@ Simulator::runGuarded(PreparedTrace &prepared, uint64_t instrs,
             sc.intervalInstrs - sc.warmupInstrs - sc.windowInstrs;
         const bool window_eligible = warmStore_ && stream &&
                                      stream->storeBacked() && warmup > 0 &&
-                                     warmStore_->perWindow() &&
                                      slack >= warmStore_->minWindowGap();
         const bool warm_eligible = warmStore_ && stream &&
                                    stream->storeBacked() && warmup > 0;

@@ -94,7 +94,7 @@ struct SimResult
 
     /**
      * Parses a toJson() document back into a SimResult. Counters round
-     * trip bitwise (exact u64, %.17g doubles), so a journal-replayed
+     * trip bitwise (exact u64, %.17g doubles), so a store-served
      * result compares identical to the original. Malformed or
      * wrong-shape input returns a trace-corrupt SimError.
      */
@@ -186,7 +186,7 @@ forEachField(P &p, V &v)
  * The optional "hostPerf" object beside a run's result in outcome
  * exports and worker result frames. Host-side profiling is wall-clock
  * data and deliberately NOT part of SimResult's deterministic payload
- * (or the journal). @p profile is a (const) std::optional<RunProfile>;
+ * (or of result-store records). @p profile is a (const) std::optional<RunProfile>;
  * reading fills it iff the document carries the object.
  */
 template <typename V, typename P>

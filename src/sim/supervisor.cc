@@ -10,7 +10,6 @@
 #include "common/fault_inject.hh"
 #include "common/host_clock.hh"
 #include "common/logging.hh"
-#include "sim/journal.hh"
 #include "sim/result_store.hh"
 #include "sim/worker_proto.hh"
 #include "trace/suite.hh"
@@ -201,42 +200,13 @@ runWorkloadsSupervised(const SimConfig &cfg,
     SigpipeGuard sigpipe;
 
     // --- planning pre-pass, on the calling thread -------------------
-    // Identical semantics to runWorkloadsIsolated: journal first, then
-    // the content-hashed store; only the remainder goes to workers.
-    uint64_t cfg_digest = opts.resultStore ? configDigest(cfg) : 0;
-    std::vector<std::optional<RunKey>> keys(names.size());
+    // Shared with runWorkloadsIsolated: store hits are served here and
+    // only the remainder goes to workers.
+    const StorePlan store_plan(opts.resultStore, cfg, names, instrs,
+                               warmup, outcomes, progress);
     std::vector<Pending> pending;
-    for (size_t i = 0; i < names.size(); ++i) {
-        if (opts.journal) {
-            RunStatus st = RunStatus::Ok;
-            if (const SimResult *done = opts.journal->find(
-                    cfg.name, names[i], instrs, warmup, &st)) {
-                outcomes[i].workload = names[i];
-                outcomes[i].config = cfg.name;
-                outcomes[i].status = st;
-                outcomes[i].resumed = true;
-                outcomes[i].result = *done;
-                if (progress)
-                    progress(outcomes[i]);
-                continue;
-            }
-        }
-        if (opts.resultStore) {
-            if (auto wl = findWorkload(names[i]); wl.ok())
-                keys[i] = RunKey{names[i], wl.value()->seed(),
-                                 cfg_digest, instrs, warmup};
-            if (keys[i]) {
-                if (auto hit = opts.resultStore->find(*keys[i])) {
-                    outcomes[i] = std::move(*hit);
-                    outcomes[i].config = cfg.name;
-                    if (progress)
-                        progress(outcomes[i]);
-                    continue;
-                }
-            }
-        }
+    for (size_t i : store_plan.pending())
         pending.push_back({i, 1});
-    }
     // LPT dispatch, like the thread-pool executor: longest-estimated
     // runs go first. pop_back() takes work, so sort ascending. Restarts
     // are pushed back on top and so go out next.
@@ -249,13 +219,7 @@ runWorkloadsSupervised(const SimConfig &cfg,
     auto commit = [&](size_t idx, RunOutcome &&out) {
         out.workload = names[idx];
         out.config = cfg.name;
-        if (opts.resultStore) {
-            out.storeMiss = true;
-            if (keys[idx] && out.ok())
-                opts.resultStore->put(*keys[idx], out);
-        }
-        if (opts.journal)
-            opts.journal->append(out, instrs, warmup);
+        store_plan.commit(idx, out);
         outcomes[idx] = std::move(out);
         if (progress)
             progress(outcomes[idx]);

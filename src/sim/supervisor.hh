@@ -4,8 +4,8 @@
  * per job slot.
  *
  * runWorkloadsSupervised() is the process-level sibling of
- * runWorkloadsIsolated(): same outcome-per-slot contract, same journal
- * and result-store semantics, but runs execute in fork/exec'd worker
+ * runWorkloadsIsolated(): same outcome-per-slot contract, same
+ * result-store semantics, but runs execute in fork/exec'd worker
  * processes (the hidden --worker mode of the catch binary,
  * sim/worker_proto.hh). Each job slot keeps one worker for the whole
  * call and feeds it runs over its stdin, so a campaign pays for process
@@ -15,7 +15,7 @@
  * order. A crash in any run — SIGSEGV inside the simulator, an abort,
  * the OOM killer — ends that worker process and becomes a typed Crashed
  * RunFailure in the slot of the running run; runs it already returned
- * stay committed, and the campaign and its journal survive.
+ * stay committed, and the campaign and its result store survive.
  *
  * Supervision state machine, per worker:
  *
@@ -95,9 +95,10 @@ namespace catchsim
 /**
  * Runs @p names[i] -> outcomes[i] in worker processes; at most @p jobs
  * workers are alive at once, each serving runs (one running, one
- * queued) until the queue is empty or one of its runs fails. Journal replay and result-store
- * lookups happen on the calling thread before any worker spawns,
- * exactly as in runWorkloadsIsolated. opts.workerBin
+ * queued) until the queue is empty or one of its runs fails.
+ * Result-store lookups happen on the calling thread before any worker
+ * spawns, through the same StorePlan as runWorkloadsIsolated.
+ * opts.workerBin
  * selects the worker executable (default /proc/self/exe, which must
  * understand --worker); opts.heartbeatMs / opts.heartbeatTimeoutMs
  * configure the wall-clock watchdog. @p progress runs on the calling

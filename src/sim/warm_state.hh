@@ -45,10 +45,10 @@
  *     any component's saveWarmState encoding changes and stale disk
  *     snapshots turn into clean misses instead of misparses.
  *
- * Tiering and integrity mirror trace/chunk_store.hh: a mutex-guarded
- * in-memory LRU over immutable shared snapshots, an optional disk tier
- * with checksummed records written via unique-temp + rename, first-
- * writer-wins put(), and a corrupt record (truncation, bit flip,
+ * The store is a codec over common/blob_store.hh, like
+ * trace/chunk_store.hh: a mutex-guarded in-memory LRU over immutable
+ * shared snapshots, an optional disk tier of checksummed records,
+ * first-writer-wins put(), and a corrupt record (truncation, bit flip,
  * version skew, key mismatch) is warned about, deleted and reported as
  * a miss — the caller re-warms; results are never wrong, only slower.
  */
@@ -57,12 +57,11 @@
 #define CATCHSIM_SIM_WARM_STATE_HH_
 
 #include <atomic>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
+#include "common/blob_store.hh"
 #include "common/error.hh"
 #include "common/fault_inject.hh"
 #include "common/sim_config.hh"
@@ -170,11 +169,6 @@ class WarmStateStore
         /** Disk tier directory; empty disables the disk tier. */
         std::string diskDir;
 
-        /** Consult/publish at sampling-window boundaries too (phase 2),
-         *  not just the global-warmup boundary. Off reproduces the
-         *  phase-1 store for A/B measurement (docs/PERFORMANCE.md). */
-        bool perWindow = true;
-
         /**
          * Window-boundary eligibility gate, part 1: memoize window
          * boundaries only when the schedule's inter-window slack
@@ -210,14 +204,8 @@ class WarmStateStore
         const FaultPlan *plan = nullptr;
     };
 
-    struct Stats
+    struct Stats : BlobStore::Stats
     {
-        uint64_t hits = 0;      ///< find() served (memory or disk)
-        uint64_t misses = 0;    ///< find() empty-handed — caller warms
-        uint64_t diskHits = 0;  ///< subset of hits read from disk
-        uint64_t evictions = 0; ///< memory-tier LRU evictions
-        uint64_t corrupt = 0;   ///< disk records dropped as corrupt
-        uint64_t puts = 0;      ///< new snapshots published
         uint64_t windowHits = 0;   ///< subset of hits with windowIndex>0
         uint64_t windowMisses = 0; ///< subset of misses, likewise
     };
@@ -260,14 +248,11 @@ class WarmStateStore
     Stats stats() const;
     size_t residentBytes() const;
 
-    /** Whether window-boundary snapshots participate (Config). */
-    bool perWindow() const { return cfg_.perWindow; }
-
     /** Slack floor for window-boundary memoization (Config). */
-    uint64_t minWindowGap() const { return cfg_.minWindowGapInstrs; }
+    uint64_t minWindowGap() const { return minWindowGap_; }
 
     /** Page-count cap for window-boundary memoization (Config). */
-    uint64_t maxWindowPages() const { return cfg_.maxWindowPages; }
+    uint64_t maxWindowPages() const { return maxWindowPages_; }
 
     /**
      * Reads and fully validates @p key's disk record: size bound,
@@ -283,48 +268,35 @@ class WarmStateStore
 
     /** Effective disk dir; empty when disabled (also after a failed
      *  create — the store degrades to the memory tier). */
-    const std::string &diskDir() const { return cfg_.diskDir; }
+    const std::string &diskDir() const { return blobs_.diskDir(); }
 
     /**
      * The process-wide store, or null when disabled. Enabled by
      * CATCH_WARM_STATE=1 (memory tier) or a non-empty
      * CATCH_WARM_STATE_CACHE directory (memory + disk tier);
      * CATCH_WARM_STATE_MB overrides the memory budget (default 128),
-     * CATCH_WARM_STATE_WINDOWS=0 disables the window-boundary
-     * snapshots (phase-1 behavior), and CATCH_WARM_STATE_MIN_GAP /
-     * CATCH_WARM_STATE_MAX_PAGES override the two eligibility gates
-     * (Config::minWindowGapInstrs / maxWindowPages; 0 = ungated).
+     * and CATCH_WARM_STATE_MIN_GAP / CATCH_WARM_STATE_MAX_PAGES
+     * override the two eligibility gates (Config::minWindowGapInstrs /
+     * maxWindowPages; 0 = ungated).
      * First call reads the environment (env.hh contract).
      */
     static WarmStateStore *global();
 
   private:
-    struct Entry
-    {
-        std::string mapKey;
-        SnapshotPtr snap;
-    };
+    static BlobStore::Key recordKey(const WarmStateKey &key);
+    /** Memory-tier charge of one snapshot entering or leaving: blob
+     *  bytes always, page data only on the first/last reference
+     *  store-wide (see Config::memBudgetBytes). Runs under the blob
+     *  store's lock, which is what guards pageRefs_. */
+    size_t chargeLocked(const WarmSnapshot &snap, bool admit);
 
-    static std::string mapKey(const WarmStateKey &key);
-    Expected<void> writeDisk(const WarmStateKey &key,
-                             const WarmSnapshot &snap);
-    void evictOverBudgetLocked();
-    /** Budget accounting for inserting/erasing one entry: blob bytes
-     *  always, page data only on the first/last reference store-wide
-     *  (sharing-aware — see Config::memBudgetBytes). */
-    void chargeLocked(const WarmSnapshot &snap);
-    void releaseLocked(const WarmSnapshot &snap);
-
-    Config cfg_;
-
-    mutable std::mutex mu_;
-    std::list<Entry> lru_; ///< front = most recent
-    std::unordered_map<std::string, std::list<Entry>::iterator> map_;
+    uint64_t minWindowGap_ = 0;
+    uint64_t maxWindowPages_ = 0;
     /** Store-wide reference counts of resident COW pages, by identity. */
     std::unordered_map<const FunctionalMemory::Page *, uint64_t> pageRefs_;
-    size_t residentBytes_ = 0;
-    Stats stats_;
-    std::atomic<uint64_t> tmpSerial_{0};
+    BlobStore blobs_;
+    std::atomic<uint64_t> windowHits_{0};
+    std::atomic<uint64_t> windowMisses_{0};
 };
 
 } // namespace catchsim

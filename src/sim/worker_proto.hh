@@ -115,9 +115,8 @@ struct WorkerRequest
     /** 1-based process attempt (restart index): drives the attempt
      *  number process-level fault clauses count (':xN'). */
     unsigned attemptBase = 1;
-    /** Containment knobs the worker applies in-process; journal/store
-     *  members are meaningless across the process boundary and stay
-     *  unset. heartbeatMs sets the worker's heartbeat period. */
+    /** Containment knobs the worker applies in-process; store members
+     *  are meaningless across the process boundary and stay unset. heartbeatMs sets the worker's heartbeat period. */
     IsolationOptions opts;
 };
 
@@ -197,7 +196,7 @@ uint64_t configDigest(const SimConfig &cfg);
  * validation still happen when that run starts. Returns 0 on a clean
  * EOF or after a non-ok result (the queued request, if any, is left
  * to the supervisor), 1 when a request cannot be read or parsed or
- * stdout breaks. Never touches journals or result stores —
+ * stdout breaks. Never touches the result store —
  * persistence is the supervisor's job, so a SIGKILLed worker cannot
  * leave half-written campaign state behind.
  */

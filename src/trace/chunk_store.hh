@@ -22,11 +22,11 @@
  * what lets a chunk generated for a 200k-op run serve a 500k-op run of
  * the same kernel.
  *
- * Tiers. The in-memory tier is an LRU of shared immutable chunks under
- * a byte budget; the optional on-disk tier (--trace-cache-dir /
- * CATCH_TRACE_CACHE) persists chunks as checksummed v2 records so
- * repeat campaigns start warm. Disk records carry a trailing FNV-1a
- * checksum and are exhaustively validated on load: any defect
+ * Tiers. The store is a codec over common/blob_store.hh: the in-memory
+ * tier is its LRU of shared immutable chunks under a byte budget; the
+ * optional on-disk tier (--trace-cache-dir / CATCH_TRACE_CACHE) holds
+ * one checksummed record per chunk (payload: the chunk's op records in
+ * the trace_io.hh encoding) so repeat campaigns start warm. Any defect
  * (truncation, bit flip, key mismatch, out-of-range field) surfaces as
  * a trace-corrupt SimError, the bad file is dropped, and the consumer
  * falls back to deterministic regeneration — never a crash, never
@@ -43,7 +43,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -51,6 +50,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/blob_store.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "trace/workload.hh"
@@ -134,16 +134,7 @@ class ChunkStore
         const FaultPlan *plan = nullptr;
     };
 
-    /** Monotonic counters; a snapshot is taken under the store lock. */
-    struct Stats
-    {
-        uint64_t hits = 0;      ///< find() served from memory or disk
-        uint64_t misses = 0;    ///< find() found nothing servable
-        uint64_t diskHits = 0;  ///< subset of hits loaded from disk
-        uint64_t evictions = 0; ///< chunks dropped by the LRU budget
-        uint64_t corrupt = 0;   ///< disk records rejected by validation
-        uint64_t puts = 0;      ///< chunks published (deduplicated)
-    };
+    using Stats = BlobStore::Stats;
 
     /** Memory-tier-only store with the default budget. */
     ChunkStore();
@@ -169,8 +160,8 @@ class ChunkStore
     ChunkPtr put(const ChunkKey &key, Chunk chunk);
 
     /**
-     * Reads and fully validates @p key's disk record: magic, version,
-     * key match, op ranges, trailing FNV-1a checksum, exact size. An
+     * Reads and fully validates @p key's disk record: exact size,
+     * trailing FNV-1a checksum, magic, version, key echo, op ranges. An
      * unopenable path is a config error (plain miss); any content
      * defect is a trace-corrupt SimError. Public so tests can pin the
      * error taxonomy directly.
@@ -180,10 +171,9 @@ class ChunkStore
     /** Disk path a key maps to (valid only with a disk tier). */
     std::string diskPath(const ChunkKey &key) const;
 
-    Stats stats() const;
-    size_t residentBytes() const;
-    const std::string &diskDir() const { return cfg_.diskDir; }
-    size_t memBudgetBytes() const { return cfg_.memBudgetBytes; }
+    Stats stats() const { return blobs_.stats(); }
+    size_t residentBytes() const { return blobs_.residentBytes(); }
+    const std::string &diskDir() const { return blobs_.diskDir(); }
 
     /**
      * Attaches/detaches the thread pool the background producer may
@@ -224,26 +214,12 @@ class ChunkStore
     static ChunkStore *global();
 
   private:
-    struct Entry
-    {
-        std::string mapKey;
-        ChunkPtr chunk;
-        size_t bytes = 0;
-    };
     struct Producer;
 
-    static std::string mapKey(const ChunkKey &key);
-    void evictOverBudgetLocked();
-    Expected<void> writeDisk(const ChunkKey &key, const Chunk &chunk);
+    static BlobStore::Key recordKey(const ChunkKey &key);
     void produceSome(Producer &st);
 
-    Config cfg_;
-    mutable std::mutex mu_;
-    std::list<Entry> lru_; ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> map_;
-    size_t residentBytes_ = 0;
-    Stats stats_;
-    std::atomic<uint64_t> tmpSerial_{0}; ///< unique tmp-file suffixes
+    BlobStore blobs_;
 
     std::atomic<ThreadPool *> pool_{nullptr};
     std::mutex producerMu_;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bitutil.hh"
 #include "common/error.hh"
 #include "trace/workload.hh"
 
@@ -51,18 +52,6 @@ void encodeOpRecord(const MicroOp &op, uint8_t *out);
  * outside the format's validity limits; @p op is unspecified then.
  */
 const char *decodeOpRecord(const uint8_t *in, MicroOp *op);
-
-/** Incremental 64-bit FNV-1a over @p n bytes; chain via @p h. */
-inline uint64_t
-fnv1a(const void *data, size_t n, uint64_t h = 1469598103934665603ULL)
-{
-    const auto *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 /** Writes @p trace to @p path; the error names the path and cause. */
 Expected<void> saveTraceChecked(const Trace &trace,

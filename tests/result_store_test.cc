@@ -6,20 +6,30 @@
  * counts hits/misses, a one-knob config change invalidates exactly the
  * cells it touches, corrupt records self-heal as misses, and a second
  * campaign pointed at a locked store fails fast with a config error.
+ * A store is also how a campaign resumes: a rerun re-executes only the
+ * runs that failed, in-process and supervised alike.
+ *
+ * This binary doubles as its own worker executable (main() dispatches
+ * --worker to workerMain(), like the CLI), so the supervised resume
+ * test can re-exec /proc/self/exe.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/fault_inject.hh"
 #include "sim/configs.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/result_store.hh"
+#include "sim/supervisor.hh"
 #include "sim/worker_proto.hh"
 #include "sim_result_compare.hh"
 #include "trace/suite.hh"
@@ -205,10 +215,10 @@ TEST(ResultStore, CorruptRecordsAreDeletedAndMiss)
             std::snprintf(buf, sizeof(buf), "%016llx",
                           static_cast<unsigned long long>(key.hash()));
             return std::string(buf);
-        }() + ".json";
+        }() + ".crs";
     ASSERT_TRUE(std::filesystem::exists(path));
 
-    // Flip the record body so the checksum line no longer matches.
+    // Flip a record byte so the checksum no longer matches.
     {
         std::fstream f(path, std::ios::in | std::ios::out);
         ASSERT_TRUE(f.is_open());
@@ -236,11 +246,11 @@ TEST(ResultStore, TruncatedRecordIsAMiss)
     RunKey key = keyFor(cfg, "hmmer");
     store->put(key, ran[0]);
 
-    // Rewrite the file as a single line (no checksum): a torn write
-    // that the tmp+rename discipline should normally prevent.
+    // Rewrite the file as a bare JSON line (no framing, no checksum): a
+    // torn write or a record of the old format.
     std::string path;
     for (const auto &e : std::filesystem::directory_iterator(dir.path))
-        if (e.path().extension() == ".json")
+        if (e.path().extension() == ".crs")
             path = e.path().string();
     ASSERT_FALSE(path.empty());
     {
@@ -282,5 +292,95 @@ TEST(ResultStore, UnwritableDirectoryIsAConfigError)
     EXPECT_EQ(s.error().category, ErrorCategory::Config);
 }
 
+/**
+ * Resume through the store: a campaign with faults injected into some
+ * runs stores only its successes, and a rerun without the faults
+ * re-executes exactly the failed runs. Supervised workers take their
+ * in-run faults from the inherited CATCH_FAULT_INJECT; in-process runs
+ * take the same plan through IsolationOptions.
+ */
+TEST(ResultStore, ResumeReExecutesOnlyFailedRuns)
+{
+    const std::string spec =
+        "trace-corrupt:mcf;exception:tpcc;io-transient:hmmer";
+    const std::vector<std::string> names = {"mcf", "hmmer", "tpcc",
+                                            "omnetpp"};
+    const std::vector<bool> injected = {true, false, true, false};
+    SimConfig cfg = withCatch(baselineSkx());
+    auto faults = FaultPlan::parse(spec);
+    ASSERT_TRUE(faults.ok());
+    const FaultPlan no_faults;
+    auto clean = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 2);
+
+    for (bool supervised : {false, true}) {
+        SCOPED_TRACE(supervised ? "supervised" : "in-process");
+        ScratchDir dir(supervised ? "store_resume_sup" : "store_resume");
+        auto campaign = [&](ResultStore *store, bool faulty) {
+            IsolationOptions opts = optsWith(store);
+            opts.heartbeatMs = 50;
+            if (!supervised) {
+                opts.plan = faulty ? &faults.value() : &no_faults;
+                return runWorkloadsIsolated(cfg, names, kInstr, kWarm, 2,
+                                            opts);
+            }
+            opts.plan = &no_faults;
+            if (faulty)
+                setenv("CATCH_FAULT_INJECT", spec.c_str(), 1);
+            auto out = runWorkloadsSupervised(cfg, names, kInstr, kWarm,
+                                              2, opts);
+            unsetenv("CATCH_FAULT_INJECT");
+            return out;
+        };
+
+        auto s1 = mustOpen(dir.path);
+        ASSERT_NE(s1, nullptr);
+        auto first = campaign(s1.get(), true);
+        for (size_t i = 0; i < names.size(); ++i)
+            EXPECT_EQ(first[i].ok(), !injected[i]) << names[i];
+        EXPECT_EQ(first[1].status, RunStatus::Retried);
+        EXPECT_EQ(s1->puts(), 2u) << "only successes are stored";
+        s1.reset();
+
+        auto s2 = mustOpen(dir.path);
+        ASSERT_NE(s2, nullptr);
+        auto second = campaign(s2.get(), false);
+        for (size_t i = 0; i < names.size(); ++i) {
+            ASSERT_TRUE(second[i].ok()) << names[i];
+            EXPECT_EQ(second[i].fromStore, !injected[i])
+                << names[i] << ": only failed runs may re-execute";
+            EXPECT_EQ(second[i].storeMiss, injected[i]) << names[i];
+            expectBitwiseEqual(clean[i].result, second[i].result);
+        }
+        EXPECT_EQ(second[1].status, RunStatus::Retried)
+            << "a Retried status survives the round trip";
+        EXPECT_EQ(s2->puts(), 2u) << "a store hit is not put again";
+        CampaignSummary sum = summarizeOutcomes(second);
+        EXPECT_EQ(sum.storeHits, 2u);
+        EXPECT_EQ(sum.storeMisses, 2u);
+        s2.reset();
+
+        // Everything is stored now: a third run executes nothing.
+        auto s3 = mustOpen(dir.path);
+        ASSERT_NE(s3, nullptr);
+        auto third = campaign(s3.get(), false);
+        for (size_t i = 0; i < names.size(); ++i) {
+            EXPECT_TRUE(third[i].fromStore) << names[i];
+            expectBitwiseEqual(clean[i].result, third[i].result);
+        }
+        EXPECT_EQ(s3->puts(), 0u);
+    }
+}
+
 } // namespace
 } // namespace catchsim
+
+/** Like the CLI, this binary serves --worker requests for the
+ *  supervised tests; the dispatch runs before gtest sees the flag. */
+int
+main(int argc, char **argv)
+{
+    if (argc > 1 && std::strcmp(argv[1], "--worker") == 0)
+        return catchsim::workerMain();
+    ::testing::InitGoogleTest(&argc, argv);
+    return RUN_ALL_TESTS();
+}

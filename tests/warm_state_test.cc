@@ -852,39 +852,6 @@ TEST(WarmStateEquivalence, PerRunProfileCountersAttributeHitsAndMisses)
     expectBitwiseEqual(warm[0].result, cold[0].result);
 }
 
-TEST(WarmStateEquivalence, PerWindowOffReproducesPhaseOneBehaviour)
-{
-    // Config.perWindow = false is the phase-1 store: only the global
-    // boundary is consulted, campaigns still hash identical, and no
-    // window counters move.
-    SimConfig cfg = sampledCfg(withCatch(baselineSkx()));
-    const std::vector<std::string> names = {"mcf"};
-    ChunkStore chunks;
-    auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                         optsWithStores(&chunks, nullptr));
-    const uint64_t golden = campaignHash(baseline);
-
-    WarmStateStore::Config p1_cfg;
-    p1_cfg.perWindow = false;
-    WarmStateStore p1(p1_cfg);
-    IsolationOptions opts = optsWithStores(&chunks, &p1);
-    opts.profile = true;
-    for (int rep = 0; rep < 2; ++rep) {
-        auto out = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                        opts);
-        ASSERT_TRUE(out[0].ok());
-        EXPECT_EQ(campaignHash(out), golden);
-        ASSERT_TRUE(out[0].profile.has_value());
-        EXPECT_EQ(out[0].profile->warmStateWindowHits, 0u);
-        EXPECT_EQ(out[0].profile->warmStateWindowMisses, 0u);
-        EXPECT_EQ(out[0].profile->warmStateWindowBytes, 0u);
-    }
-    auto s = p1.stats();
-    EXPECT_EQ(s.puts, 1u) << "phase 1 publishes only the global snapshot";
-    EXPECT_EQ(s.windowHits, 0u);
-    EXPECT_EQ(s.windowMisses, 0u);
-}
-
 TEST(WarmStateEquivalence, EligibilityGatesSkipUnprofitableWindows)
 {
     // A window restore costs a near-constant blob parse plus an
@@ -902,14 +869,19 @@ TEST(WarmStateEquivalence, EligibilityGatesSkipUnprofitableWindows)
 
     // Default config: the test schedule's 1000-instruction slack is
     // below the minWindowGapInstrs floor, so only the global-warmup
-    // snapshot is published — phase-1 behaviour without opting out
-    // of perWindow.
+    // snapshot is published and no per-run window counter moves.
     {
         WarmStateStore gated;
+        IsolationOptions opts = optsWithStores(&chunks, &gated);
+        opts.profile = true;
         auto out = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                        optsWithStores(&chunks, &gated));
+                                        opts);
         ASSERT_TRUE(out[0].ok());
         EXPECT_EQ(campaignHash(out), golden);
+        ASSERT_TRUE(out[0].profile.has_value());
+        EXPECT_EQ(out[0].profile->warmStateWindowHits, 0u);
+        EXPECT_EQ(out[0].profile->warmStateWindowMisses, 0u);
+        EXPECT_EQ(out[0].profile->warmStateWindowBytes, 0u);
         EXPECT_EQ(gated.stats().puts, 1u)
             << "a sub-floor slack must not publish window records";
         EXPECT_EQ(gated.stats().windowMisses, 0u);

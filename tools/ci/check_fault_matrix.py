@@ -11,9 +11,10 @@ Used by tools/ci/fault_matrix.sh. Four modes:
       JSON equality here is bitwise equality of every counter).
 
   --clean clean.json --resumed resumed.json [--injected a,b,c]
-      The journaled rerun must have re-executed only the failed runs
-      (the rest resumed), succeeded everywhere, and produced results
-      identical to the clean campaign.
+      The rerun against the faulty campaign's result store must have
+      re-executed only the failed runs (the rest served from the store),
+      succeeded everywhere, and produced results identical to the clean
+      campaign.
 
   --clean clean.json --crashed crashed.json [--injected a,b,c]
       A process-isolated campaign with crash injection: every crashed
@@ -71,7 +72,7 @@ def check_faulty(clean, faulty):
         "retried": 0,
         "failed": 2,
         "timed_out": 1,
-        "resumed": 0,
+        "store_hits": 0,
     }
     for key, want in expect.items():
         if s[key] != want:
@@ -110,14 +111,17 @@ def check_resumed(clean, resumed, injected):
     want_resumed = len(cruns) - len(injected)
     if s["failed"] or s["timed_out"] or s.get("crashed"):
         die(f"resumed campaign still has failures: {s}")
-    if s["resumed"] != want_resumed:
-        die(f"resumed={s['resumed']}, want {want_resumed} (only the "
-            "failed runs may re-execute)")
+    if s["store_hits"] != want_resumed:
+        die(f"store_hits={s['store_hits']}, want {want_resumed} (only "
+            "the failed runs may re-execute)")
+    if s["store_misses"] != len(injected):
+        die(f"store_misses={s['store_misses']}, want {len(injected)}")
 
     for name, run in rruns.items():
         want_replay = name not in injected
-        if bool(run["resumed"]) != want_replay:
-            die(f"{name}: resumed={run['resumed']}, want {want_replay}")
+        if bool(run["from_store"]) != want_replay:
+            die(f"{name}: from_store={run['from_store']}, "
+                f"want {want_replay}")
         if run["result"] != cruns[name]["result"]:
             die(f"{name}: resumed result differs from the clean "
                 "campaign")

@@ -3,7 +3,8 @@
 #
 # Drives the catchsim CLI the way CI does: a clean campaign, then the
 # same campaign with CATCH_FAULT_INJECT forcing one fault of each kind
-# into 3 of 7 workloads at two job counts, then a journaled rerun.
+# into 3 of 7 workloads at two job counts, then a rerun that resumes
+# through the result store.
 # Asserts the containment contract end to end:
 #
 #   1. the faulty campaign completes with exit code 1 (contained), not
@@ -12,9 +13,10 @@
 #   3. exactly the 3 injected runs fail, with the right categories, and
 #      every unaffected slot is bitwise-identical to the clean campaign
 #      (tools/ci/check_fault_matrix.py);
-#   4. a journaled rerun without injection re-executes only the 3
-#      failed runs, resumes the other 4, exits 0, and its results are
-#      bitwise-identical to the clean campaign.
+#   4. a rerun without injection, against the faulty campaign's result
+#      store, re-executes only the 3 failed runs, serves the other 4
+#      from the store, exits 0, and its results are bitwise-identical
+#      to the clean campaign.
 #
 # Then the process-isolation matrix (--isolate, sim/supervisor.hh):
 #
@@ -32,8 +34,8 @@
 #      level; here the exit-code contract is what is pinned), and at
 #      jobs=1 a heartbeat stall of a run with another queued behind it
 #      loses only the stalled run;
-#   8. an OOM-killed campaign with --journal + --result-store exits 2,
-#      and the resumed rerun re-executes only the dead cell, exits 0,
+#   8. an OOM-killed campaign with --result-store exits 2, and the
+#      resumed rerun re-executes only the dead cell, exits 0,
 #      bitwise-identical to clean;
 #   9. a result-store resweep: cold run misses every cell, the rerun
 #      (in-process mode, same store — the store is mode-agnostic) hits
@@ -86,11 +88,12 @@ echo "== containment + bitwise-identical unaffected slots =="
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --faulty "$WORK/faulty8.json"
 
-echo "== journaled run with faults, then resume without =="
+echo "== store-backed run with faults, then resume without =="
 run_expect 1 env CATCH_FAULT_INJECT="$SPEC" \
-    "$CLI" "${ARGS[@]}" --jobs=8 --journal="$WORK/journal" \
+    "$CLI" "${ARGS[@]}" --jobs=8 --result-store="$WORK/resume_store" \
     "${NAMES[@]}"
-run_expect 0 "$CLI" "${ARGS[@]}" --jobs=8 --journal="$WORK/journal" \
+run_expect 0 "$CLI" "${ARGS[@]}" --jobs=8 \
+    --result-store="$WORK/resume_store" \
     --json="$WORK/resumed.json" "${NAMES[@]}"
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --resumed "$WORK/resumed.json"
@@ -136,7 +139,6 @@ cmp "$WORK/ws_clean.json" "$WORK/ws_window_faulty.json"
 
 echo "== config errors exit 2 before any simulation =="
 run_expect 2 "$CLI" "${ARGS[@]}" no-such-workload mcf
-run_expect 2 "$CLI" "${ARGS[@]}" --journal=/dev/null/nested mcf
 run_expect 2 "$CLI" "${ARGS[@]}" --result-store=/dev/null/nested mcf
 # Malformed option values are usage errors, never coerced values.
 run_expect 2 "$CLI" "${ARGS[@]}" --instr=abc mcf
@@ -214,14 +216,13 @@ python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --crashed "$WORK/stall_mid.json" \
     --injected milc
 
-echo "== OOM-killed campaign resumes through journal + store =="
+echo "== OOM-killed campaign resumes through the store =="
 run_expect 2 env "${ISO_ENV[@]}" CATCH_FAULT_INJECT='oom:mcf' \
     "$CLI" "${ARGS[@]}" --isolate --jobs=8 \
-    --journal="$WORK/iso_journal" --result-store="$WORK/iso_store" \
-    "${NAMES[@]}"
+    --result-store="$WORK/iso_store" "${NAMES[@]}"
 run_expect 0 env "${ISO_ENV[@]}" \
     "$CLI" "${ARGS[@]}" --isolate --jobs=8 \
-    --journal="$WORK/iso_journal" --result-store="$WORK/iso_store" \
+    --result-store="$WORK/iso_store" \
     --json="$WORK/iso_resumed.json" "${NAMES[@]}"
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --resumed "$WORK/iso_resumed.json" \

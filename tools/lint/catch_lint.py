@@ -105,6 +105,7 @@ STEP_ALLOC_SCOPE = (
     "src/core/frontend.cc",
     "src/cache/cache.cc",
     "src/sim/fast_forward.cc",
+    "src/common/blob_store.cc",
     "src/trace/chunk_store.cc",
     "src/sim/warm_state.cc",
 )
